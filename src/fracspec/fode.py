@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fraccalc import GridSeries, TimeGrid, _fractional_integral_values, gamma, ml_array
+from .fraccalc import (
+    GridSeries,
+    TimeGrid,
+    _causal_conv,
+    _fractional_integral_values,
+    _l1_weights,
+    ml_array,
+)
 
 __all__ = [
     "FractionalIVP",
@@ -29,7 +36,6 @@ __all__ = [
     "PicardLog",
     "PicardDivergenceError",
     "SingularStepError",
-    "operator_norm_2",
     "max_operator_norm",
     "auto_gamma",
     "picard_solve",
@@ -161,28 +167,6 @@ class PicardLog:
         return max(clean) if clean else 0.0
 
 
-def operator_norm_2(A: np.ndarray, tol: float = 1e-8, max_iters: int = 2000) -> float:
-    """Operator 2-norm by power iteration on A^T A."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if not np.any(A):
-        return 0.0
-    v = np.ones(n) + 1e-3 * np.arange(n)  # deterministic, unlikely to be orthogonal
-    v /= np.linalg.norm(v)
-    s_prev = 0.0
-    for _ in range(max_iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        s = math.sqrt(nw)
-        if abs(s - s_prev) <= tol * max(s, 1.0):
-            return s
-        s_prev = s
-    return s_prev
-
-
 def _log_weighted_norm(values: np.ndarray, gamma_: float, nodes: np.ndarray) -> float:
     """log of max_m ||values_m||_2 exp(-gamma t_m); -inf for the zero array."""
     norms = np.linalg.norm(values, axis=1)
@@ -191,9 +175,9 @@ def _log_weighted_norm(values: np.ndarray, gamma_: float, nodes: np.ndarray) -> 
     return float(np.max(logs - gamma_ * nodes))
 
 
-def max_operator_norm(ivp: FractionalIVP, tol: float = 1e-8) -> float:
+def max_operator_norm(ivp: FractionalIVP) -> float:
     """max_m ||A(t_m)||_2, the essential-sup bound of the contraction proof."""
-    return max(operator_norm_2(ivp.A[m], tol) for m in range(ivp.grid.M + 1))
+    return float(np.linalg.norm(ivp.A, 2, axis=(1, 2)).max())
 
 
 def contraction_bound(ivp: FractionalIVP, gamma_: float) -> float:
@@ -268,12 +252,9 @@ def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     if M < 2:
         raise ValueError("L1 marching needs at least M=2 steps")
     alpha = ivp.alpha
-    dt = ivp.grid.dt
     N = ivp.N
-    j = np.arange(M, dtype=float)
-    b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    b, w0 = _l1_weights(alpha, M, ivp.grid.dt)
     d = b[:-1] - b[1:]  # d_j = b_{j-1} - b_j > 0, j = 1..M-1
-    w0 = dt ** (-alpha) / gamma(2.0 - alpha)
 
     diag_only = bool(np.all(ivp.A == ivp.A * np.eye(N)[None, :, :]))
     c = np.zeros((M + 1, N))
@@ -341,5 +322,5 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
     P = -(1.0 / lam) * ((1.0 - rr) * dG + core)   # weight of f_j, r = m - j
     Q = -(1.0 / lam) * (rr * dG - core)           # weight of f_{j+1}
     out = np.zeros(M + 1)
-    out[1:] = np.convolve(P, vals[:M])[:M] + np.convolve(Q, vals[1 : M + 1])[:M]
+    out[1:] = _causal_conv(P, vals[:M]) + _causal_conv(Q, vals[1:])
     return GridSeries(f.grid, out)

@@ -117,10 +117,6 @@ class GridSeries:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "GridSeries":
-        return cls(grid, np.asarray([fn(t) for t in grid.nodes], dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler E_{alpha,beta}(z) for real z
@@ -390,8 +386,22 @@ def ml_array(alpha: float, z, beta: float = 1.0, tol: float = 1e-12) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# product-integration weights (piecewise-linear data, exact singular weight)
+# causal convolution and product-integration weights
 # ---------------------------------------------------------------------------
+
+
+def _causal_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y[m] = sum_{j<=m} kernel[m-j] x[j] for m < len(x), column by column.
+
+    x may carry any trailing shape; each column x[:, ...] is convolved with
+    the same 1-d kernel.  Entries of kernel beyond len(x) are never used.
+    """
+    n = x.shape[0]
+    flat = x.reshape(n, -1)
+    out = np.empty(flat.shape)
+    for c in range(flat.shape[1]):
+        out[:, c] = np.convolve(kernel, flat[:, c])[:n]
+    return out.reshape(x.shape)
 
 
 def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,11 +428,10 @@ def _fractional_integral_values(vals: np.ndarray, order: float, dt: float) -> np
     a0, W = _pl_weights(order, M)
     scale = dt**order / gamma(order + 2.0)
     flat = vals.reshape(M + 1, -1)
-    out = np.zeros_like(flat)
-    for c in range(flat.shape[1]):
-        conv = np.convolve(W, flat[1:, c])
-        out[1:, c] = scale * (a0[1:] * flat[0, c] + conv[:M])
-    return out.reshape(vals.shape)
+    y = _causal_conv(W, flat[1:])
+    y += a0[1:, None] * flat[0]
+    y *= scale
+    return np.concatenate([np.zeros_like(flat[:1]), y]).reshape(vals.shape)
 
 
 def rl_integral(x: GridSeries, alpha: float) -> GridSeries:
@@ -445,6 +454,14 @@ def rl_integral_left(x: GridSeries, alpha: float) -> GridSeries:
     return GridSeries(x.grid, out[::-1].copy())
 
 
+def _l1_weights(alpha: float, M: int, dt: float) -> tuple[np.ndarray, float]:
+    """L1 weights b_j = (j+1)^(1-alpha) - j^(1-alpha), j < M, and the scale
+    w0 = dt^(-alpha) / Gamma(2-alpha): D^alpha x(t_m) ~ w0 sum_j b_j dx_{m-j}."""
+    j = np.arange(M, dtype=float)
+    b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    return b, dt ** (-alpha) / gamma(2.0 - alpha)
+
+
 def caputo_derivative(x: GridSeries, alpha: float) -> GridSeries:
     """L1 discretization of the Caputo derivative of order alpha in (0, 1).
 
@@ -456,19 +473,9 @@ def caputo_derivative(x: GridSeries, alpha: float) -> GridSeries:
     M = x.grid.M
     if M < 2:
         raise ValueError(f"L1 scheme needs at least M=2 steps, got {M}")
-    dt = x.grid.dt
-    j = np.arange(M, dtype=float)
-    b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-    cf = dt ** (-alpha) / gamma(2.0 - alpha)
-    vals = x.values
-    flat = vals.reshape(M + 1, -1)
-    out = np.zeros_like(flat)
-    dx = np.diff(flat, axis=0)
-    for c in range(flat.shape[1]):
-        conv = np.convolve(b, dx[:, c])
-        out[1:, c] = cf * conv[:M]
-    out[0] = out[1]
-    return GridSeries(x.grid, out.reshape(vals.shape))
+    b, w0 = _l1_weights(alpha, M, x.grid.dt)
+    d = w0 * _causal_conv(b, np.diff(x.values, axis=0))
+    return GridSeries(x.grid, np.concatenate([d[:1], d]))
 
 
 def rl_derivative(x: GridSeries, alpha: float) -> GridSeries:
@@ -555,9 +562,7 @@ def _convolve_kn(f_vals: np.ndarray, alpha: float, n: int, grid: TimeGrid,
     fm = (1.0 - gm) * flat[:-1] + gm * flat[1:]
 
     out = np.zeros_like(flat)
-    for c in range(flat.shape[1]):
-        conv = np.convolve(kp, fp[:, c]) + np.convolve(km, fm[:, c])
-        out[1:, c] = 0.5 * dt * conv[:M]
+    out[1:] = 0.5 * dt * (_causal_conv(kp, fp) + _causal_conv(km, fm))
 
     # diagonal cell: s in [0, dt], f(t_m - s) linear between f_m and f_{m-1}
     layer = n ** (-1.0 / alpha)
@@ -582,11 +587,9 @@ def convolve(f: GridSeries, g: Kernel) -> GridSeries:
     smooth Yosida kernel "kn" uses composite two-point Gauss quadrature per
     subinterval with a graded diagonal cell.
     """
-    if g.kind == "l":
-        return GridSeries(f.grid, _fractional_integral_values(f.values, g.alpha, f.grid.dt))
-    if g.kind == "k":
-        return GridSeries(f.grid, _fractional_integral_values(f.values, 1.0 - g.alpha, f.grid.dt))
-    return GridSeries(f.grid, _convolve_kn(f.values, g.alpha, g.n, f.grid))
+    if g.kind == "kn":
+        return GridSeries(f.grid, _convolve_kn(f.values, g.alpha, g.n, f.grid))
+    return rl_integral(f, g.alpha if g.kind == "l" else 1.0 - g.alpha)
 
 
 def integration_by_parts_residual(f: GridSeries, g: GridSeries, alpha: float) -> float:

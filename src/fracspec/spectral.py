@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exprfield import CoefficientField, evaluate, sup_bound, sup_bound_vector
+from .exprfield import CoefficientField, evaluate, sup_bound, sup_bound_vector, variables_of
 
 __all__ = [
     "DomainGeometry",
@@ -196,27 +196,44 @@ def _tabulate(basis: SpectralBasis, quad: QuadratureRule) -> _Tabulation:
     return _Tabulation(basis, quad)
 
 
+def _expr(fieldlike):
+    """The expression behind a CoefficientField or a bare expression."""
+    return fieldlike.expr if isinstance(fieldlike, CoefficientField) else fieldlike
+
+
+def _sample(fieldlike, shape, **env) -> np.ndarray:
+    """Values of a coefficient at the points env, broadcast to shape."""
+    return np.broadcast_to(np.asarray(evaluate(_expr(fieldlike), **env), dtype=float), shape)
+
+
+def _field(fieldlike, geom: DomainGeometry, T: float) -> CoefficientField:
+    """A CoefficientField as given, or a bare expression bound to (geom, T)."""
+    if isinstance(fieldlike, CoefficientField):
+        return fieldlike
+    return CoefficientField(fieldlike, geom.lengths, T)
+
+
 def _coeff_on_grid(fieldlike, t: float, tab: _Tabulation) -> np.ndarray:
-    expr = fieldlike.expr if isinstance(fieldlike, CoefficientField) else fieldlike
-    if len(tab.points) == 1:
-        vals = evaluate(expr, t=t, x=tab.points[0])
-    else:
-        vals = evaluate(expr, t=t, x=tab.points[0], y=tab.points[1])
-    return np.broadcast_to(np.asarray(vals, dtype=float), tab.weights.shape)
+    return _sample(fieldlike, tab.weights.shape, t=t, **dict(zip(("x", "y"), tab.points)))
 
 
-def _ellipticity_min_on_samples(avals: dict, dim: int):
-    """Min eigenvalue of the (a_kl) matrix over sample arrays; argmin index."""
-    if dim == 1:
-        m = avals["a11"]
-        idx = int(np.argmin(m))
-        return float(m[idx]), idx
-    a11, a12, a22 = avals["a11"], avals["a12"], avals["a22"]
+def _min_eigenvalue(avals: dict) -> np.ndarray:
+    """Pointwise min eigenvalue of the symmetric (a_kl) from sample arrays.
+
+    1-d when a22 is absent; in 2-d a missing a12 counts as 0.
+    """
+    if "a22" not in avals:
+        return avals["a11"]
+    a11, a22 = avals["a11"], avals["a22"]
     half_tr = 0.5 * (a11 + a22)
-    rad = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
-    m = half_tr - rad
-    idx = int(np.argmin(m))
-    return float(m[idx]), idx
+    rad = np.sqrt(0.25 * (a11 - a22) ** 2 + avals.get("a12", 0.0) ** 2)
+    return half_tr - rad
+
+
+def _constant(fieldlike):
+    """Value of a coefficient free of t, x and y; None when it varies."""
+    expr = _expr(fieldlike)
+    return None if variables_of(expr) else float(evaluate(expr))
 
 
 def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
@@ -238,7 +255,7 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
     load = np.zeros(n)
     for j, expr in forcing.items():
         if 1 <= j <= n:
-            load[j - 1] = float(evaluate(expr if not isinstance(expr, CoefficientField) else expr.expr, t=t))
+            load[j - 1] = float(evaluate(_expr(expr), t=t))
 
     names = ["a11"] if geom.dim == 1 else ["a11", "a12", "a22"]
     a_exprs = {k: coeffs[k] for k in names if k in coeffs}
@@ -247,19 +264,8 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
     b_names = [k for k in (["b1"] if geom.dim == 1 else ["b1", "b2"]) if k in coeffs]
     has_c = "c" in coeffs
 
-    consts = {}
-
-    def _const_value(fieldlike):
-        expr = fieldlike.expr if isinstance(fieldlike, CoefficientField) else fieldlike
-        from .exprfield import variables_of
-
-        if variables_of(expr):
-            return None
-        return float(evaluate(expr))
-
-    for k, f in a_exprs.items():
-        consts[k] = _const_value(f)
-    c_const = _const_value(coeffs["c"]) if has_c else 0.0
+    consts = {k: _constant(f) for k, f in a_exprs.items()}
+    c_const = _constant(coeffs["c"]) if has_c else 0.0
 
     diag_exact = (
         not b_names
@@ -286,7 +292,9 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
     tab = _tabulate(basis, quad)
     w = tab.weights
     avals = {k: _coeff_on_grid(f, t, tab) for k, f in a_exprs.items()}
-    theta_min, idx = _ellipticity_min_on_samples(avals, geom.dim)
+    eig = _min_eigenvalue(avals)
+    idx = int(np.argmin(eig))
+    theta_min = float(eig[idx])
     if theta_min <= 0.0:
         loc = tuple(float(p[idx]) for p in tab.points)
         raise EllipticityError(
@@ -336,21 +344,8 @@ def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float,
     grids = np.meshgrid(*axes, indexing="ij")
     names = ("t", "x", "y")[: len(grids)]
     env = dict(zip(names, grids))
-
-    def _vals(key):
-        f = coeffs[key]
-        expr = f.expr if isinstance(f, CoefficientField) else f
-        out = evaluate(expr, **env)
-        return np.broadcast_to(np.asarray(out, dtype=float), grids[0].shape)
-
-    if geom.dim == 1:
-        m = _vals("a11")
-    else:
-        a11, a22 = _vals("a11"), _vals("a22")
-        a12 = _vals("a12") if "a12" in coeffs else np.zeros_like(a11)
-        half_tr = 0.5 * (a11 + a22)
-        rad = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
-        m = half_tr - rad
+    keys = ["a11"] if geom.dim == 1 else ["a11", "a22"] + (["a12"] if "a12" in coeffs else [])
+    m = _min_eigenvalue({k: _sample(coeffs[k], grids[0].shape, **env) for k in keys})
     flat = int(np.argmin(m))
     idx = np.unravel_index(flat, m.shape)
     theta_hat = float(m[idx])
@@ -374,16 +369,8 @@ def garding_constants(coeffs, geom: DomainGeometry, theta: float, T: float) -> t
     """
     if theta <= 0.0:
         raise ValueError(f"ellipticity constant theta must be positive, got {theta}")
-
-    def _field(key):
-        f = coeffs[key]
-        if isinstance(f, CoefficientField):
-            return f
-        return CoefficientField(f, geom.lengths, T)
-
-    b_fields = [_field(k) for k in ("b1", "b2") if k in coeffs]
-    bnorm = sup_bound_vector(b_fields)
-    cnorm = sup_bound(_field("c")) if "c" in coeffs else 0.0
+    bnorm = sup_bound_vector([_field(coeffs[k], geom, T) for k in ("b1", "b2") if k in coeffs])
+    cnorm = sup_bound(_field(coeffs["c"], geom, T)) if "c" in coeffs else 0.0
     return 0.5 * theta, bnorm * bnorm / (2.0 * theta) + cnorm
 
 
@@ -393,23 +380,12 @@ def continuity_constant(coeffs, geom: DomainGeometry, basis: SpectralBasis, T: f
     C2 = sum ||a_kl||_inf + C_Omega sum ||b_k||_inf + C_Omega^2 ||c||_inf,
     the off-diagonal a12 counting twice (it appears as a12 and a21).
     """
-
-    def _field(key):
-        f = coeffs[key]
-        if isinstance(f, CoefficientField):
-            return f
-        return CoefficientField(f, geom.lengths, T)
-
     com = poincare_constant(basis)
+    weights = {"a11": 1.0, "a12": 2.0, "a22": 1.0, "b1": com, "b2": com, "c": com * com}
     total = 0.0
-    for key, mult in (("a11", 1.0), ("a12", 2.0), ("a22", 1.0)):
+    for key, mult in weights.items():
         if key in coeffs:
-            total += mult * sup_bound(_field(key))
-    for key in ("b1", "b2"):
-        if key in coeffs:
-            total += com * sup_bound(_field(key))
-    if "c" in coeffs:
-        total += com * com * sup_bound(_field("c"))
+            total += mult * sup_bound(_field(coeffs[key], geom, T))
     return total
 
 

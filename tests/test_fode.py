@@ -15,7 +15,6 @@ from fracspec.fode import (
     contraction_bound,
     l1_solve,
     max_operator_norm,
-    operator_norm_2,
     picard_apply,
     picard_solve,
     variation_of_constants,
@@ -41,13 +40,19 @@ def scalar_exact(g, lam=1.0, alpha=0.5, q=1.0):
 
 class TestOperatorNorm:
     def test_against_svd(self):
+        # independent oracle: ||A||_2 = sqrt(max eigenvalue of A^T A)
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            A = rng.standard_normal((6, 6))
-            assert operator_norm_2(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
+        M, N = 9, 6
+        A = rng.standard_normal((M + 1, N, N))
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.zeros((M + 1, N)))
+        oracle = max(math.sqrt(np.linalg.eigvalsh(a.T @ a).max()) for a in A)
+        assert max_operator_norm(ivp) == pytest.approx(oracle, rel=1e-12)
 
     def test_zero(self):
-        assert operator_norm_2(np.zeros((3, 3))) == 0.0
+        M, N = 4, 3
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), np.zeros((M + 1, N, N)), np.zeros((M + 1, N)))
+        assert max_operator_norm(ivp) == 0.0
+        assert auto_gamma(ivp) == 1.0
 
 
 class TestContractionBound:

@@ -16,7 +16,7 @@ from fracspec import (
     rl_integral,
     rl_integral_left,
 )
-from fracspec.fraccalc import ml_array
+from fracspec.fraccalc import _causal_conv, _pl_weights, ml_array
 
 
 def series(T, M, fn):
@@ -191,6 +191,22 @@ class TestConvexityInequality:
         tol_scheme = g.dt ** (2.0 - alpha)
         assert np.min(expr[1:]) >= -tol_scheme
         assert np.max(np.abs(expr[1:] - exact[1:])) <= 10.0 * tol_scheme
+
+
+class TestCausalConv:
+    @pytest.mark.parametrize("shape", [(9,), (9, 3), (9, 2, 4)])
+    def test_matches_full_convolution_per_column(self, shape):
+        # kernels as long as the data and longer (the I^alpha weights carry
+        # one entry more than the data they act on)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape)
+        n = shape[0]
+        for kernel in (rng.standard_normal(n), _pl_weights(0.4, n)[1]):
+            got = _causal_conv(kernel, x)
+            assert got.shape == x.shape
+            cols = x.reshape(n, -1)
+            want = np.stack([np.convolve(kernel, cols[:, c])[:n] for c in range(cols.shape[1])], axis=1)
+            assert np.array_equal(got.reshape(n, -1), want)
 
 
 class TestConvolve:

@@ -119,6 +119,16 @@ class TestAssemble:
         form = assemble(b, coeffs, {}, t=0.0)
         assert np.max(np.abs(form.matrix - form.matrix.T)) <= 1e-10
 
+    @pytest.mark.parametrize("a11", ["1+x", "2"])
+    def test_two_dimensional_omitted_cross_term(self, a11):
+        # an omitted a12 is the zero cross term, in assembly as in
+        # check_ellipticity (regression: assembly raised KeyError 'a12')
+        b = build_basis(DomainGeometry((1.0, 1.0)), 4)
+        coeffs = {"a11": parse(a11), "a22": parse("1")}
+        form = assemble(b, coeffs, {}, t=0.0)
+        explicit = assemble(b, {**coeffs, "a12": parse("0")}, {}, t=0.0)
+        assert np.array_equal(form.matrix, explicit.matrix)
+
     def test_ellipticity_abort(self):
         b = build_basis(DomainGeometry((1.0,)), 4)
         with pytest.raises(EllipticityError):
