@@ -3,8 +3,9 @@
 A small closed-form language over the variables t, x, y with the constant pi,
 the operators + - * / ^ (with ^ restricted to constant exponents) and the
 functions sin, cos, exp, sqrt, abs.  Problems are specified declaratively in
-text files using this grammar (EBNF in the README); parsed trees are immutable
-and evaluation is pure, so fields may be shared freely across threads.
+text files using this grammar (given in the _Parser docstring); parsed trees
+are immutable and evaluation is pure, so fields may be shared freely across
+threads.
 """
 
 from __future__ import annotations

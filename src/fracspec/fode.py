@@ -256,7 +256,9 @@ def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     b, w0 = _l1_weights(alpha, M, ivp.grid.dt)
     d = b[:-1] - b[1:]  # d_j = b_{j-1} - b_j > 0, j = 1..M-1
 
-    diag_only = bool(np.all(ivp.A == ivp.A * np.eye(N)[None, :, :]))
+    # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
+    # counting them allocates nothing the size of A
+    diag_only = np.count_nonzero(ivp.A) == np.count_nonzero(np.diagonal(ivp.A, axis1=1, axis2=2))
     c = np.zeros((M + 1, N))
     eye = np.eye(N)
     for m in range(1, M + 1):

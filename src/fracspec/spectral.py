@@ -123,7 +123,10 @@ class QuadratureRule:
 
 
 def default_quadrature(N: int) -> QuadratureRule:
-    """Default assembly rule: 4N panels per axis, 4 Gauss points per panel."""
+    """Default assembly rule: 4N panels, 4 Gauss points per panel.
+
+    N is the largest mode index on the axis the rule serves.
+    """
     return QuadratureRule(4 * N, 4)
 
 
@@ -152,47 +155,83 @@ class AssembledForm:
     load: np.ndarray
 
 
-class _Tabulation:
-    """Basis values/derivatives on the tensor quadrature grid (precomputed)."""
+# (row, col) factors of each coefficient's integrand in A_ij = a(e_j, e_i): an
+# axis index k is d_k of the test (row) or trial (col) function, None its value.
+_SLOTS = {
+    "a11": ((0, 0),),
+    "a12": ((0, 1), (1, 0)),
+    "a22": ((1, 1),),
+    "b1": ((None, 0),),
+    "b2": ((None, 1),),
+    "c": ((None, None),),
+}
 
-    def __init__(self, basis: SpectralBasis, quad: QuadratureRule):
+
+# coefficient names that exist on a box of each dimension, in _SLOTS order
+_NAMES = {1: ["a11", "b1", "c"], 2: list(_SLOTS)}
+
+
+def _diffusion(coeffs, dim: int) -> list:
+    """Names of the given diffusion coefficients; a11 (and a22 in 2d) are required."""
+    names = [k for k in _NAMES[dim] if k[0] == "a" and k in coeffs]
+    if any(f"a{k}{k}" not in names for k in range(1, dim + 1)):
+        raise ValueError("diffusion coefficients a11 (and a22 in 2d) are required")
+    return names
+
+
+class _Tabulation:
+    """Per-axis sine tables on a tensor Gauss grid, contracted by sum factorisation.
+
+    Axis a tabulates sqrt(2/L) sin(k pi x / L) and its derivative for
+    k = 1..k_a only, k_a the largest index of that axis among the basis modes,
+    on default_quadrature(k_a) unless quad is given.  Grid arrays are laid out
+    in contraction order, the axis with fewer modes first: the first
+    contraction's (rest, k, P) intermediate is then the small one.
+    """
+
+    def __init__(self, basis: SpectralBasis, quad):
         geom = basis.geometry
-        self.basis = basis
-        self.quad = quad
-        if geom.dim == 1:
-            L = geom.lengths[0]
-            pts, wts = quad.nodes_1d(L)
-            k = np.asarray(basis.modes, dtype=float)[:, None]
+        idx = np.array(basis.modes).reshape(basis.N, geom.dim) - 1
+        kmax = idx.max(axis=0) + 1
+        self.order = tuple(int(a) for a in np.argsort(kmax, kind="stable"))
+        self.pts, self.wts, self.values, self.derivs = [], [], [], []
+        for L, k_a in zip(geom.lengths, kmax):
+            pts, wts = (default_quadrature(int(k_a)) if quad is None else quad).nodes_1d(L)
+            k = np.arange(1, k_a + 1, dtype=float)[:, None]
             amp = math.sqrt(2.0 / L)
-            self.values = amp * np.sin(k * math.pi * pts[None, :] / L)
-            self.grad = [amp * (k * math.pi / L) * np.cos(k * math.pi * pts[None, :] / L)]
-            self.weights = wts
-            self.points = (pts,)
-        else:
-            L1, L2 = geom.lengths
-            px, wx = quad.nodes_1d(L1)
-            py, wy = quad.nodes_1d(L2)
-            p = np.array([m[0] for m in basis.modes], dtype=float)
-            q = np.array([m[1] for m in basis.modes], dtype=float)
-            ax = math.sqrt(2.0 / L1)
-            ay = math.sqrt(2.0 / L2)
-            sx = ax * np.sin(p[:, None] * math.pi * px[None, :] / L1)
-            dx = ax * (p[:, None] * math.pi / L1) * np.cos(p[:, None] * math.pi * px[None, :] / L1)
-            sy = ay * np.sin(q[:, None] * math.pi * py[None, :] / L2)
-            dy = ay * (q[:, None] * math.pi / L2) * np.cos(q[:, None] * math.pi * py[None, :] / L2)
-            n = basis.N
-            self.values = np.einsum("ix,iy->ixy", sx, sy).reshape(n, -1)
-            self.grad = [
-                np.einsum("ix,iy->ixy", dx, sy).reshape(n, -1),
-                np.einsum("ix,iy->ixy", sx, dy).reshape(n, -1),
-            ]
-            self.weights = np.outer(wx, wy).ravel()
-            X, Y = np.meshgrid(px, py, indexing="ij")
-            self.points = (X.ravel(), Y.ravel())
+            self.pts.append(pts)
+            self.wts.append(wts)
+            self.values.append(amp * np.sin(k * math.pi * pts[None, :] / L))
+            self.derivs.append(amp * (k * math.pi / L) * np.cos(k * math.pi * pts[None, :] / L))
+        self.shape = tuple(len(self.pts[a]) for a in self.order)
+        # grid coordinates as broadcastable arrays for evaluate, keyed x (, y)
+        self.env = {
+            name: pts.reshape([-1 if a == b else 1 for b in self.order])
+            for a, (name, pts) in enumerate(zip(("x", "y"), self.pts))
+        }
+        # flat positions of c_i and A_ij in the contracted per-axis blocks
+        self.flat_vector = np.zeros(basis.N, dtype=np.intp)
+        self.flat_matrix = np.zeros((basis.N, basis.N), dtype=np.intp)
+        for a in self.order:
+            i = idx[:, a]
+            self.flat_vector = self.flat_vector * kmax[a] + i
+            self.flat_matrix = (self.flat_matrix * kmax[a] + i[:, None]) * kmax[a] + i[None, :]
+
+    def contract(self, C: np.ndarray, *slots) -> np.ndarray:
+        """int C F(e_i) for every i, or int C F(e_i) G(e_j) for every i, j.
+
+        C holds samples on the grid in contraction order; each slot (row F,
+        then col G) is an axis index for that derivative or None for the value.
+        """
+        for a in self.order:
+            X = C.reshape(len(self.wts[a]), -1).T * self.wts[a]
+            F = [self.derivs[a] if s == a else self.values[a] for s in slots]
+            C = X @ F[0].T if len(F) == 1 else (F[0] * X[:, None, :]) @ F[1].T
+        return C.take(self.flat_vector if len(slots) == 1 else self.flat_matrix)
 
 
 @lru_cache(maxsize=16)
-def _tabulate(basis: SpectralBasis, quad: QuadratureRule) -> _Tabulation:
+def _tabulate(basis: SpectralBasis, quad) -> _Tabulation:
     return _Tabulation(basis, quad)
 
 
@@ -211,10 +250,6 @@ def _field(fieldlike, geom: DomainGeometry, T: float) -> CoefficientField:
     if isinstance(fieldlike, CoefficientField):
         return fieldlike
     return CoefficientField(fieldlike, geom.lengths, T)
-
-
-def _coeff_on_grid(fieldlike, t: float, tab: _Tabulation) -> np.ndarray:
-    return _sample(fieldlike, tab.weights.shape, t=t, **dict(zip(("x", "y"), tab.points)))
 
 
 def _min_eigenvalue(avals: dict) -> np.ndarray:
@@ -249,76 +284,41 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
     exactly from orthonormality, so single-mode problems decouple exactly.
     """
     geom = basis.geometry
-    if quad is None:
-        quad = default_quadrature(basis.N)
     n = basis.N
     load = np.zeros(n)
     for j, expr in forcing.items():
         if 1 <= j <= n:
             load[j - 1] = float(evaluate(_expr(expr), t=t))
 
-    names = ["a11"] if geom.dim == 1 else ["a11", "a12", "a22"]
-    a_exprs = {k: coeffs[k] for k in names if k in coeffs}
-    if "a11" not in a_exprs or (geom.dim == 2 and "a22" not in a_exprs):
-        raise ValueError("diffusion coefficients a11 (and a22 in 2d) are required")
-    b_names = [k for k in (["b1"] if geom.dim == 1 else ["b1", "b2"]) if k in coeffs]
-    has_c = "c" in coeffs
-
-    consts = {k: _constant(f) for k, f in a_exprs.items()}
-    c_const = _constant(coeffs["c"]) if has_c else 0.0
-
-    diag_exact = (
-        not b_names
-        and all(v is not None for v in consts.values())
-        and c_const is not None
-        and (geom.dim == 1 or consts.get("a12", 0.0) == 0.0)
-    )
-    if diag_exact:
-        # orthonormal eigenbasis: A = diag(abar * lambda + c) exactly
-        if geom.dim == 1:
-            abar = consts["a11"]
-        else:
-            # isotropic only when a11 == a22; otherwise fall through
-            if consts["a11"] == consts["a22"]:
-                abar = consts["a11"]
-            else:
-                abar = None
-        if abar is not None:
-            if abar <= 0.0:
-                raise EllipticityError(f"constant diffusion coefficient {abar} is not positive")
-            A = np.diag(abar * basis.eigenvalues + c_const)
-            return AssembledForm(t, A, load)
+    diffusion = _diffusion(coeffs, geom.dim)
+    present = [k for k in _NAMES[geom.dim] if k in coeffs]
+    consts = {k: _constant(coeffs[k]) for k in present if k[0] != "b"}
+    diag = {consts[f"a{k}{k}"] for k in range(1, geom.dim + 1)}
+    if (
+        not any(k[0] == "b" for k in present)
+        and None not in consts.values()
+        and consts.get("a12", 0.0) == 0.0
+        and len(diag) == 1
+    ):
+        # constant isotropic diffusion on the orthonormal eigenbasis:
+        # A = diag(abar * lambda + c) exactly
+        abar = diag.pop()
+        if abar <= 0.0:
+            raise EllipticityError(f"constant diffusion coefficient {abar} is not positive")
+        A = np.diag(abar * basis.eigenvalues + consts.get("c", 0.0))
+        return AssembledForm(t, A, load)
 
     tab = _tabulate(basis, quad)
-    w = tab.weights
-    avals = {k: _coeff_on_grid(f, t, tab) for k, f in a_exprs.items()}
-    eig = _min_eigenvalue(avals)
+    vals = {k: _sample(coeffs[k], tab.shape, t=t, **tab.env) for k in present}
+    eig = _min_eigenvalue({k: vals[k] for k in diffusion})
     idx = int(np.argmin(eig))
-    theta_min = float(eig[idx])
+    theta_min = float(eig.flat[idx])
     if theta_min <= 0.0:
-        loc = tuple(float(p[idx]) for p in tab.points)
+        loc = tuple(float(np.broadcast_to(p, tab.shape).flat[idx]) for p in tab.env.values())
         raise EllipticityError(
             f"coefficient matrix loses positivity at t={t}, x={loc}: min eigenvalue {theta_min}"
         )
-
-    if geom.dim == 1:
-        D = tab.grad[0]
-        A = (D * (w * avals["a11"])) @ D.T
-        if b_names:
-            bv = _coeff_on_grid(coeffs["b1"], t, tab)
-            A += (tab.values * (w * bv)) @ D.T
-    else:
-        Gx, Gy = tab.grad
-        A = (Gx * (w * avals["a11"])) @ Gx.T + (Gy * (w * avals["a22"])) @ Gy.T
-        if "a12" in avals:
-            A += (Gx * (w * avals["a12"])) @ Gy.T + (Gy * (w * avals["a12"])) @ Gx.T
-        for name, G in zip(["b1", "b2"], [Gx, Gy]):
-            if name in coeffs:
-                bv = _coeff_on_grid(coeffs[name], t, tab)
-                A += (tab.values * (w * bv)) @ G.T
-    if has_c:
-        cv = _coeff_on_grid(coeffs["c"], t, tab)
-        A += (tab.values * (w * cv)) @ tab.values.T
+    A = sum(tab.contract(vals[k], row, col) for k in present for row, col in _SLOTS[k])
     return AssembledForm(t, A, load)
 
 
@@ -344,7 +344,7 @@ def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float,
     grids = np.meshgrid(*axes, indexing="ij")
     names = ("t", "x", "y")[: len(grids)]
     env = dict(zip(names, grids))
-    keys = ["a11"] if geom.dim == 1 else ["a11", "a22"] + (["a12"] if "a12" in coeffs else [])
+    keys = _diffusion(coeffs, geom.dim)
     m = _min_eigenvalue({k: _sample(coeffs[k], grids[0].shape, **env) for k in keys})
     flat = int(np.argmin(m))
     idx = np.unravel_index(flat, m.shape)
@@ -378,13 +378,15 @@ def continuity_constant(coeffs, geom: DomainGeometry, basis: SpectralBasis, T: f
     """C2 with |a(u,v;t)| <= C2 ||u||_H10 ||v||_H10 on the modal space.
 
     C2 = sum ||a_kl||_inf + C_Omega sum ||b_k||_inf + C_Omega^2 ||c||_inf,
-    the off-diagonal a12 counting twice (it appears as a12 and a21).
+    the off-diagonal a12 counting twice (it appears as a12 and a21): each
+    derivative factor of a slot is bounded by the H1_0 norm, each value
+    factor by C_Omega times it.
     """
     com = poincare_constant(basis)
-    weights = {"a11": 1.0, "a12": 2.0, "a22": 1.0, "b1": com, "b2": com, "c": com * com}
     total = 0.0
-    for key, mult in weights.items():
+    for key, slots in _SLOTS.items():
         if key in coeffs:
+            mult = sum(com ** pair.count(None) for pair in slots)
             total += mult * sup_bound(_field(coeffs[key], geom, T))
     return total
 
@@ -408,41 +410,30 @@ def project(samples: np.ndarray, basis: SpectralBasis, quad: QuadratureRule = No
     """L2 projection onto the modal span from samples on the quadrature grid.
 
     c_i = int u e_i evaluated with the assembly quadrature; idempotent within
-    quadrature tolerance.
+    quadrature tolerance.  Samples are ordered as quadrature_grid's points.
     """
-    if quad is None:
-        quad = default_quadrature(basis.N)
     tab = _tabulate(basis, quad)
     u = np.asarray(samples, dtype=float).ravel()
-    if u.shape != tab.weights.shape:
-        raise ValueError(
-            f"expected samples on the quadrature grid ({tab.weights.shape[0]} points), got {u.shape[0]}"
-        )
-    return ModalVector(tab.values @ (tab.weights * u), basis)
+    size = math.prod(len(p) for p in tab.pts)
+    if u.size != size:
+        raise ValueError(f"expected samples on the quadrature grid ({size} points), got {u.size}")
+    u = u.reshape([len(p) for p in tab.pts]).transpose(tab.order)
+    return ModalVector(tab.contract(u, None), basis)
 
 
 def quadrature_grid(basis: SpectralBasis, quad: QuadratureRule = None):
-    """Points of the assembly quadrature grid (x array, or (X, Y) arrays)."""
-    if quad is None:
-        quad = default_quadrature(basis.N)
-    tab = _tabulate(basis, quad)
-    return tab.points if len(tab.points) > 1 else tab.points[0]
+    """Points of the assembly quadrature grid (x array, or raveled (X, Y) arrays)."""
+    grids = np.meshgrid(*_tabulate(basis, quad).pts, indexing="ij")
+    return tuple(g.ravel() for g in grids) if len(grids) > 1 else grids[0]
 
 
 def gram_matrix(basis: SpectralBasis, quad: QuadratureRule = None) -> np.ndarray:
     """Quadrature Gram matrix int e_i e_j; identity up to quadrature error."""
-    if quad is None:
-        quad = default_quadrature(basis.N)
     tab = _tabulate(basis, quad)
-    return (tab.values * tab.weights) @ tab.values.T
+    return tab.contract(np.ones(tab.shape), None, None)
 
 
 def stiffness_gram(basis: SpectralBasis, quad: QuadratureRule = None) -> np.ndarray:
     """Quadrature matrix int De_i . De_j; diag(lambda) up to quadrature error."""
-    if quad is None:
-        quad = default_quadrature(basis.N)
     tab = _tabulate(basis, quad)
-    out = np.zeros((basis.N, basis.N))
-    for G in tab.grad:
-        out += (G * tab.weights) @ G.T
-    return out
+    return sum(tab.contract(np.ones(tab.shape), a, a) for a in tab.order)

@@ -1,8 +1,9 @@
 """Independent reference computations shared by the test suite.
 
 These deliberately avoid the code paths under test: the Mittag-Leffler
-reference sums the defining series in scaled arbitrary precision, and the
-dense quadrature oracles integrate with plain Simpson sums.
+reference sums the defining series in scaled arbitrary precision, the dense
+quadrature oracles integrate with plain Simpson sums, and the 2-D form oracle
+tabulates every basis function on one dense tensor Gauss-Legendre grid.
 """
 
 import mpmath
@@ -55,3 +56,33 @@ def dense_quadrature_1d(fn, lo: float, hi: float, n: int = 1_000_000) -> float:
         n += 1
     x = np.linspace(lo, hi, n + 1)
     return simpson(fn(x), (hi - lo) / n)
+
+
+def dense_form_2d(lengths, modes, coeffs, n) -> np.ndarray:
+    """A_ij = a(e_j, e_i) on the rectangle by a dense tensor Gauss rule.
+
+    e_(p,q) = (2/sqrt(L1 L2)) sin(p pi x/L1) sin(q pi y/L2); coeffs maps any of
+    a11, a12, a22, b1, b2, c to callables f(x, y).  n = (nx, ny) Gauss-Legendre
+    points on each whole axis.
+    """
+    (L1, L2), (nx, ny) = lengths, n
+    gx, wx = np.polynomial.legendre.leggauss(nx)
+    gy, wy = np.polynomial.legendre.leggauss(ny)
+    X, Y = np.meshgrid(0.5 * L1 * (gx + 1.0), 0.5 * L2 * (gy + 1.0), indexing="ij")
+    W = np.outer(0.5 * L1 * wx, 0.5 * L2 * wy)
+    p = np.array([m[0] for m in modes], dtype=float)[:, None, None] * np.pi / L1
+    q = np.array([m[1] for m in modes], dtype=float)[:, None, None] * np.pi / L2
+    amp = 2.0 / np.sqrt(L1 * L2)
+    e = amp * np.sin(p * X) * np.sin(q * Y)
+    ex = amp * p * np.cos(p * X) * np.sin(q * Y)
+    ey = amp * q * np.sin(p * X) * np.cos(q * Y)
+    terms = {
+        "a11": [(ex, ex)], "a12": [(ex, ey), (ey, ex)], "a22": [(ey, ey)],
+        "b1": [(e, ex)], "b2": [(e, ey)], "c": [(e, e)],
+    }
+    A = np.zeros((len(modes), len(modes)))
+    for name, fn in coeffs.items():
+        cw = fn(X, Y) * W
+        for row, col in terms[name]:
+            A += np.einsum("ixy,xy,jxy->ij", row, cw, col)
+    return A

@@ -1,6 +1,7 @@
 """Fractional ODE solvers against the closed-form scalar oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ class TestL1Solve:
         b = l1_solve(big).values
         assert np.array_equal(a, b[:, 0])
         assert np.all(b[:, 1:] == 0.0)
+
+    def test_dense_solve_allocates_no_copy_of_a(self):
+        # regression: the diagonal test built A * eye, a full-size copy of A
+        # and the solve's memory peak
+        M, N = 100, 48
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((M + 1, N, N)) + 4.0 * N * np.eye(N)
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.ones((M + 1, N)))
+        tracemalloc.start()
+        try:
+            l1_solve(ivp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ivp.A.nbytes / 4
 
 
 class TestVariationOfConstants:

@@ -1,11 +1,12 @@
 """Eigenbasis, assembly, ellipticity and modal-norm tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracspec.exprfield import CoefficientField, parse
+from fracspec.exprfield import CoefficientField, evaluate, parse
 from fracspec.spectral import (
     DomainGeometry,
     EllipticityError,
@@ -25,7 +26,26 @@ from fracspec.spectral import (
     stiffness_gram,
 )
 
-from oracles import simpson
+from oracles import dense_form_2d, simpson
+
+# Both boxes have unequal largest mode indices per axis, (9, 6) and (35, 2) at
+# N = 40, so each axis gets its own quadrature size.
+BOXES = [(1.0, 0.7), (1.0, 0.05)]
+
+# Every coefficient variable, elliptic on both boxes; b and c scale the drift
+# and the reaction.
+VARIABLE_COEFFS = {
+    "a11": "1 + 0.3*sin(pi*x)*y + 0.2*t",
+    "a12": "0.1*x*t + 0.1*y",
+    "a22": "2 + 0.5*cos(pi*y)",
+    "b1": "{b}*(x - y)",
+    "b2": "{b}*t*(1 + y)",
+    "c": "{c}*(1 + x*y^2)",
+}
+
+
+def variable_coeffs(b=1, c=1):
+    return {k: parse(v.format(b=b, c=c)) for k, v in VARIABLE_COEFFS.items()}
 
 
 class TestBuildBasis:
@@ -70,6 +90,12 @@ class TestOrthonormality:
         b = build_basis(DomainGeometry((1.0, 0.7)), 16)
         G = gram_matrix(b)
         assert np.max(np.abs(G - np.eye(16))) <= 1e-10
+
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_rectangle_stiffness(self, lengths):
+        b = build_basis(DomainGeometry(lengths), 40)
+        S = stiffness_gram(b)
+        assert np.max(np.abs(S - np.diag(b.eigenvalues))) <= 1e-10 * b.eigenvalues[-1]
 
 
 class TestAssemble:
@@ -129,10 +155,41 @@ class TestAssemble:
         explicit = assemble(b, {**coeffs, "a12": parse("0")}, {}, t=0.0)
         assert np.array_equal(form.matrix, explicit.matrix)
 
+    @pytest.mark.parametrize(
+        "lengths, b_scale, c_scale, gauss",
+        [(BOXES[0], 10, 300, (60, 60)), (BOXES[1], 50, 5000, (100, 30))],
+    )
+    def test_two_dimensional_against_dense_oracle(self, lengths, b_scale, c_scale, gauss):
+        # drift and reaction scaled to the size of the stiffness term, so the
+        # relative check sees each term
+        t = 0.6
+        coeffs = variable_coeffs(b_scale, c_scale)
+        b = build_basis(DomainGeometry(lengths), 40)
+        fns = {k: (lambda X, Y, e=e: np.broadcast_to(evaluate(e, t=t, x=X, y=Y), X.shape))
+               for k, e in coeffs.items()}
+        ref = dense_form_2d(lengths, b.modes, fns, gauss)
+        A = assemble(b, coeffs, {}, t).matrix
+        assert np.max(np.abs(A - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_ellipticity_abort(self):
         b = build_basis(DomainGeometry((1.0,)), 4)
         with pytest.raises(EllipticityError):
             assemble(b, {"a11": parse("x - 0.5")}, {}, t=0.0)
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 0.01)])
+    def test_two_dimensional_n256_memory(self, lengths):
+        # regression: the (16N)^2-point tabulation asked for ~32 GiB at N=256;
+        # the per-axis tables need tens of MB
+        b = build_basis(DomainGeometry(lengths), 256)
+        coeffs = variable_coeffs()
+        tracemalloc.start()
+        try:
+            A = assemble(b, coeffs, {}, t=0.6).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert A.shape == (256, 256) and np.all(np.isfinite(A))
 
 
 class TestCheckEllipticity:
@@ -279,6 +336,18 @@ class TestProject:
         assert c[0] == pytest.approx(4.0 * math.sqrt(2.0) / math.pi**3, rel=1e-10)
         assert abs(c[1]) <= 1e-12
         assert c[2] == pytest.approx(4.0 * math.sqrt(2.0) / (3.0 * math.pi) ** 3, rel=1e-8)
+
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_two_dimensional_recovers_basis_functions(self, lengths):
+        basis = build_basis(DomainGeometry(lengths), 40)
+        X, Y = quadrature_grid(basis)
+        L1, L2 = lengths
+        C = np.array([
+            project(2.0 / math.sqrt(L1 * L2) * np.sin(p * math.pi * X / L1) * np.sin(q * math.pi * Y / L2),
+                    basis).coefficients
+            for p, q in basis.modes
+        ])
+        assert np.max(np.abs(C - np.eye(40))) <= 1e-10
 
     def test_idempotent(self):
         basis = build_basis(DomainGeometry((1.0,)), 5)
