@@ -209,7 +209,7 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.unary()
-            if not _is_constant(exponent):
+            if variables_of(exponent):
                 raise ExprSyntaxError("exponent of '^' must be a constant", off)
             return BinOp("^", base, exponent)
         return base
@@ -235,20 +235,6 @@ class _Parser:
             return node
         what = repr(text) if text else "end of input"
         raise ExprSyntaxError(f"expected a number, name or '(', got {what}", off)
-
-
-def _is_constant(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return True
-    if isinstance(e, Var):
-        return False
-    if isinstance(e, Neg):
-        return _is_constant(e.child)
-    if isinstance(e, BinOp):
-        return _is_constant(e.left) and _is_constant(e.right)
-    if isinstance(e, Call):
-        return _is_constant(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def parse(source: str, variables=DEFAULT_VARIABLES) -> Expr:

@@ -3,7 +3,9 @@
 Three routes with zero initial data (the RL and Caputo forms coincide):
 
 * picard_solve -- fixed-point iteration on the equivalent Volterra equation
-  c = I^alpha(f - A c), contractive in the exp(-gamma t)-weighted sup norm;
+  c = I^alpha(f - A c), window by window: each window is short enough for the
+  iteration to contract in the plain sup norm, with the earlier windows'
+  solution as a fixed history load;
 * l1_solve -- fully implicit marching with the L1 history weights, the
   independent cross-check discretization;
 * variation_of_constants -- product-integration evaluation of the scalar
@@ -16,9 +18,10 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fraccalc import (
     GridSeries,
@@ -26,6 +29,7 @@ from .fraccalc import (
     _causal_conv,
     _fractional_integral_values,
     _l1_weights,
+    _pl_weights,
     ml_array,
 )
 
@@ -37,21 +41,18 @@ __all__ = [
     "PicardDivergenceError",
     "SingularStepError",
     "max_operator_norm",
-    "auto_gamma",
     "picard_solve",
     "picard_apply",
     "l1_solve",
     "variation_of_constants",
-    "contraction_bound",
 ]
 
 
 class PicardDivergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance."""
 
-    def __init__(self, message: str, last_ratio: float = math.nan, node: int = -1):
+    def __init__(self, message: str, node: int = -1):
         super().__init__(message)
-        self.last_ratio = last_ratio
         self.node = node
 
 
@@ -85,6 +86,8 @@ class FractionalIVP:
             f = f.reshape(len(f), 1)
         if A.ndim == 1:
             A = A.reshape(len(A), 1, 1)
+        if A.ndim != 3 or f.ndim != 2:
+            raise ValueError(f"A must have shape (M+1, N, N) and f (M+1, N), got A {A.shape}, f {f.shape}")
         mp1 = self.grid.M + 1
         if A.shape[0] != mp1 or f.shape[0] != mp1:
             raise ValueError("A and f must be sampled at every grid node")
@@ -106,16 +109,13 @@ class FractionalIVP:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """gamma = None selects AUTO: gamma = (2 max_m ||A(t_m)||_2)^(1/alpha),
-    which pins the theoretical contraction factor at 1/2."""
+    """max_iters bounds the iterations of each window; tol bounds the sup
+    difference, and the final residual, relative to max(1, ||c||)."""
 
-    gamma: float | None = None
     max_iters: int = 200
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.gamma is not None and not (self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive (or None for AUTO), got {self.gamma}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (0.0 < self.tol < 1.0):
@@ -146,33 +146,19 @@ class ModalTrajectory:
         object.__setattr__(self, "values", v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PicardLog:
-    gamma: float
-    theoretical_ratio: float
-    iterations: int = 0
-    weighted_diffs: list = field(default_factory=list)
-    log_weighted_diffs: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    converged: bool = False
+    """Iterations summed over the windows, the window count and the final
+    fixed-point residual max_m ||c_m - I^alpha(f - A c)_m||_2."""
 
-    @property
-    def observed_ratio(self) -> float:
-        """Largest clean successive-difference ratio (floor-level noise cut)."""
-        if not self.ratios:
-            return 0.0
-        lw = self.log_weighted_diffs
-        floor = max(lw[0] - 36.0, math.log(1e-300))  # ~1e-16 relative floor
-        clean = [r for r, l in zip(self.ratios, lw[1:]) if l > floor and math.isfinite(r)]
-        return max(clean) if clean else 0.0
+    iterations: int
+    windows: int
+    residual: float
 
 
-def _log_weighted_norm(values: np.ndarray, gamma_: float, nodes: np.ndarray) -> float:
-    """log of max_m ||values_m||_2 exp(-gamma t_m); -inf for the zero array."""
-    norms = np.linalg.norm(values, axis=1)
-    with np.errstate(divide="ignore"):
-        logs = np.where(norms > 0.0, np.log(np.maximum(norms, 1e-308)), -np.inf)
-    return float(np.max(logs - gamma_ * nodes))
+def _sup_norm(values: np.ndarray) -> float:
+    """max_m ||values_m||_2, the plain sup norm the windows contract in."""
+    return math.sqrt(np.einsum("mi,mi->m", values, values).max())
 
 
 def max_operator_norm(ivp: FractionalIVP) -> float:
@@ -180,19 +166,14 @@ def max_operator_norm(ivp: FractionalIVP) -> float:
     return float(np.linalg.norm(ivp.A, 2, axis=(1, 2)).max())
 
 
-def contraction_bound(ivp: FractionalIVP, gamma_: float) -> float:
-    """Theoretical weighted-norm contraction factor max||A|| / gamma^alpha."""
-    if not (gamma_ > 0.0):
-        raise ValueError(f"gamma must be positive, got {gamma_}")
-    return max_operator_norm(ivp) / gamma_**ivp.alpha
+def _window_length(W: np.ndarray, s: float, norm: float) -> int:
+    """Largest l with s norm sum_{r<l} W[r] <= 1/2, at most len(W) - 1.
 
-
-def auto_gamma(ivp: FractionalIVP) -> float:
-    """AUTO weight: (2 max||A||)^(1/alpha); factor <= 1/2 by construction."""
-    m = max_operator_norm(ivp)
-    if m == 0.0:
-        return 1.0
-    return (2.0 * m) ** (1.0 / ivp.alpha)
+    s sum_{r<l} W[r] is the sup-norm Lipschitz constant of the discrete
+    I^alpha (weights s W) over l steps, so a window of l steps contracts by
+    1/2 when max||A|| = norm.
+    """
+    return min(int(np.searchsorted(s * norm * np.cumsum(W), 0.5, side="right")), len(W) - 1)
 
 
 def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
@@ -202,43 +183,57 @@ def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
 
 
 def picard_solve(ivp: FractionalIVP, cfg: PicardConfig = PicardConfig()) -> tuple[ModalTrajectory, PicardLog]:
-    """Fixed-point iteration c <- I^alpha(f - A c) from c = 0.
+    """Fixed-point iteration c <- I^alpha(f - A c), window by window.
 
-    Stops when the weighted-norm difference drops below cfg.tol; the weighted
-    norm is evaluated in log space so large gamma cannot underflow the
-    stopping rule.  Raises PicardDivergenceError on NaN blowup or when
-    max_iters is exhausted.
+    Windows are as long as _window_length allows, so each contracts by 1/2 in
+    the plain sup norm while the earlier nodes, already solved, enter as a
+    fixed history load.  Each window iterates from the last solved value until
+    the sup difference is <= tol max(1, ||c_win||), at most max_iters times; the
+    solution is returned only if its fixed-point residual over the whole grid
+    passes the same test.  Raises PicardDivergenceError when not even one step
+    contracts, on non-finite values, when max_iters is exhausted or when the
+    residual check fails.
     """
-    gamma_ = cfg.gamma if cfg.gamma is not None else auto_gamma(ivp)
-    log = PicardLog(gamma=gamma_, theoretical_ratio=contraction_bound(ivp, gamma_))
-    nodes = ivp.grid.nodes
-    log_tol = math.log(cfg.tol)
+    alpha, M = ivp.alpha, ivp.grid.M
+    a0, W = _pl_weights(alpha, M)
+    s = ivp.grid.dt**alpha / math.gamma(alpha + 2.0)
+    norm = max_operator_norm(ivp)
+    L = _window_length(W, s, norm)
+    if L == 0:
+        raise PicardDivergenceError(
+            f"no step contracts: dt^alpha max||A|| / Gamma(alpha+2) = {s * norm:.4g} > 1/2; refine the grid"
+        )
     c = np.zeros_like(ivp.f)
-    for it in range(1, cfg.max_iters + 1):
-        c_next = picard_apply(ivp, c)
-        if not np.all(np.isfinite(c_next)):
-            bad = int(np.argmax(~np.all(np.isfinite(c_next), axis=1)))
+    g = ivp.f.copy()  # f - A c, final on the nodes already solved
+    iterations = 0
+    for m0 in range(0, M, L):
+        m1 = min(m0 + L, M)
+        win = slice(m0 + 1, m1 + 1)
+        # a0 and the earlier nodes 1..m0, as in _fractional_integral_values
+        hist = a0[win, None] * g[0] + sliding_window_view(W[1:m1], m0) @ g[m0:0:-1]
+        cw = np.broadcast_to(c[m0], (m1 - m0, ivp.N))  # start from the last solved node
+        for it in range(1, cfg.max_iters + 1):
+            gw = ivp.f[win] - np.einsum("mij,mj->mi", ivp.A[win], cw)
+            nxt = s * (_causal_conv(W[: m1 - m0 + 1], gw) + hist)
+            diff = _sup_norm(nxt - cw)
+            if not math.isfinite(diff):
+                raise PicardDivergenceError(f"non-finite values at nodes {m0 + 1}..{m1}", node=m0 + 1)
+            cw = nxt
+            if diff <= cfg.tol * max(1.0, _sup_norm(cw)):
+                break
+        else:
             raise PicardDivergenceError(
-                f"iteration produced non-finite values at node {bad} (t={nodes[bad]})",
-                last_ratio=log.ratios[-1] if log.ratios else math.nan,
-                node=bad,
+                f"window at nodes {m0 + 1}..{m1} did not converge within {cfg.max_iters} iterations"
+                f" (last difference {diff:.4g})",
+                node=m0 + 1,
             )
-        lw = _log_weighted_norm(c_next - c, gamma_, nodes)
-        log.iterations = it
-        log.log_weighted_diffs.append(lw)
-        log.weighted_diffs.append(math.exp(lw) if lw > -745.0 else 0.0)
-        if len(log.log_weighted_diffs) >= 2:
-            prev = log.log_weighted_diffs[-2]
-            log.ratios.append(math.exp(lw - prev) if math.isfinite(prev) and math.isfinite(lw) else 0.0)
-        c = c_next
-        if lw < log_tol:
-            log.converged = True
-            return ModalTrajectory(ivp.grid, c, ivp.alpha, "picard"), log
-    raise PicardDivergenceError(
-        f"no convergence within {cfg.max_iters} iterations"
-        f" (last weighted ratio {log.ratios[-1] if log.ratios else math.nan:.4g})",
-        last_ratio=log.ratios[-1] if log.ratios else math.nan,
-    )
+        iterations += it
+        c[win] = cw
+        g[win] = ivp.f[win] - np.einsum("mij,mj->mi", ivp.A[win], cw)
+    residual = _sup_norm(c - picard_apply(ivp, c))
+    if residual > cfg.tol * max(1.0, _sup_norm(c)):
+        raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
+    return ModalTrajectory(ivp.grid, c, alpha, "picard"), PicardLog(iterations, -(-M // L), residual)
 
 
 def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:

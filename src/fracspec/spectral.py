@@ -171,9 +171,17 @@ _SLOTS = {
 _NAMES = {1: ["a11", "b1", "c"], 2: list(_SLOTS)}
 
 
-def _diffusion(coeffs, dim: int) -> list:
-    """Names of the given diffusion coefficients; a11 (and a22 in 2d) are required."""
-    names = [k for k in _NAMES[dim] if k[0] == "a" and k in coeffs]
+def _present(coeffs, dim: int) -> list:
+    """Names given in coeffs, in _SLOTS order; a name the box lacks is an error."""
+    unknown = sorted(set(coeffs) - set(_NAMES[dim]))
+    if unknown:
+        raise ValueError(f"coefficients {unknown} do not exist in {dim}d; expected a subset of {_NAMES[dim]}")
+    return [k for k in _NAMES[dim] if k in coeffs]
+
+
+def _diffusion(present: list, dim: int) -> list:
+    """The diffusion names among present; a11 (and a22 in 2d) are required."""
+    names = [k for k in present if k[0] == "a"]
     if any(f"a{k}{k}" not in names for k in range(1, dim + 1)):
         raise ValueError("diffusion coefficients a11 (and a22 in 2d) are required")
     return names
@@ -290,8 +298,8 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
         if 1 <= j <= n:
             load[j - 1] = float(evaluate(_expr(expr), t=t))
 
-    diffusion = _diffusion(coeffs, geom.dim)
-    present = [k for k in _NAMES[geom.dim] if k in coeffs]
+    present = _present(coeffs, geom.dim)
+    diffusion = _diffusion(present, geom.dim)
     consts = {k: _constant(coeffs[k]) for k in present if k[0] != "b"}
     diag = {consts[f"a{k}{k}"] for k in range(1, geom.dim + 1)}
     if (
@@ -344,7 +352,7 @@ def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float,
     grids = np.meshgrid(*axes, indexing="ij")
     names = ("t", "x", "y")[: len(grids)]
     env = dict(zip(names, grids))
-    keys = _diffusion(coeffs, geom.dim)
+    keys = _diffusion(_present(coeffs, geom.dim), geom.dim)
     m = _min_eigenvalue({k: _sample(coeffs[k], grids[0].shape, **env) for k in keys})
     flat = int(np.argmin(m))
     idx = np.unravel_index(flat, m.shape)
@@ -369,7 +377,7 @@ def garding_constants(coeffs, geom: DomainGeometry, theta: float, T: float) -> t
     """
     if theta <= 0.0:
         raise ValueError(f"ellipticity constant theta must be positive, got {theta}")
-    bnorm = sup_bound_vector([_field(coeffs[k], geom, T) for k in ("b1", "b2") if k in coeffs])
+    bnorm = sup_bound_vector([_field(coeffs[k], geom, T) for k in _present(coeffs, geom.dim) if k[0] == "b"])
     cnorm = sup_bound(_field(coeffs["c"], geom, T)) if "c" in coeffs else 0.0
     return 0.5 * theta, bnorm * bnorm / (2.0 * theta) + cnorm
 
@@ -384,10 +392,9 @@ def continuity_constant(coeffs, geom: DomainGeometry, basis: SpectralBasis, T: f
     """
     com = poincare_constant(basis)
     total = 0.0
-    for key, slots in _SLOTS.items():
-        if key in coeffs:
-            mult = sum(com ** pair.count(None) for pair in slots)
-            total += mult * sup_bound(_field(coeffs[key], geom, T))
+    for key in _present(coeffs, geom.dim):
+        mult = sum(com ** pair.count(None) for pair in _SLOTS[key])
+        total += mult * sup_bound(_field(coeffs[key], geom, T))
     return total
 
 

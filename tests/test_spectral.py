@@ -282,6 +282,26 @@ class TestGardingConstants:
                 assert abs(v @ A @ w) <= C2 * vh * wh + 1e-9
 
 
+class TestCoefficientNames:
+    CALLS = {
+        "assemble": lambda c, g, b: assemble(b, c, {}, t=0.0),
+        "check_ellipticity": lambda c, g, b: check_ellipticity(c, g, 1.0, 0.5),
+        "garding_constants": lambda c, g, b: garding_constants(c, g, 1.0, 1.0),
+        "continuity_constant": lambda c, g, b: continuity_constant(c, g, b, 1.0),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("lengths, name", [((1.0,), "b2"), ((1.0,), "a22"), ((1.0, 1.0), "a21")])
+    def test_rejects_names_the_box_lacks(self, call, lengths, name):
+        # regression: on (0, 1), {"a11": 1, "b2": 5} gave nu = 13.78 and
+        # C2 = 2.72 although the assembled A is diag(lambda)
+        geom = DomainGeometry(lengths)
+        coeffs = {f"a{k}{k}": parse("1") for k in range(1, len(lengths) + 1)}
+        coeffs[name] = parse("5")
+        with pytest.raises(ValueError, match="do not exist"):
+            self.CALLS[call](coeffs, geom, build_basis(geom, 4))
+
+
 class TestModalNorms:
     def test_single_mode(self):
         basis = build_basis(DomainGeometry((1.0,)), 3)
