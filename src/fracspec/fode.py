@@ -27,6 +27,7 @@ from .fraccalc import (
     GridSeries,
     TimeGrid,
     _causal_conv,
+    _conv_tail,
     _fractional_integral_values,
     _l1_weights,
     _pl_weights,
@@ -46,6 +47,10 @@ __all__ = [
     "l1_solve",
     "variation_of_constants",
 ]
+
+# l1_solve marches blocks of at most this many nodes directly; the time hardly
+# depends on it between 32 and 256
+_L1_LEAF = 64
 
 
 class PicardDivergenceError(RuntimeError):
@@ -157,8 +162,16 @@ class PicardLog:
 
 
 def _sup_norm(values: np.ndarray) -> float:
-    """max_m ||values_m||_2, the plain sup norm the windows contract in."""
-    return math.sqrt(np.einsum("mi,mi->m", values, values).max())
+    """max_m ||values_m||_2, the plain sup norm the windows contract in.
+
+    The values are scaled by their largest entry before squaring, so every
+    finite trajectory has a finite norm; non-finite values give inf or nan.
+    """
+    scale = float(np.abs(values).max())
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    unit = values / scale
+    return scale * math.sqrt(np.einsum("mi,mi->m", unit, unit).max())
 
 
 def max_operator_norm(ivp: FractionalIVP) -> float:
@@ -240,8 +253,15 @@ def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     """Fully implicit L1 marching: (w0 I + A(t_m)) c_m = f(t_m) + history.
 
     w0 = dt^(-alpha)/Gamma(2-alpha); A and f are taken at the right endpoint.
-    Diagonal systems are solved elementwise, so decoupled modes stay exactly
-    decoupled (mode-for-mode identical across different N).
+    The history w0 sum_{j=1}^{m-1} d_j c_{m-j} is split as in Hairer, Lubich &
+    Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532): nodes lo..hi-1 are
+    solved by solving the left half, adding its whole contribution to the right
+    half's far history with one FFT Toeplitz product (_conv_tail), then solving
+    the right half; blocks of at most _L1_LEAF nodes march directly with the
+    local sum.  The cost is O(N M log^2 M) instead of O(N M^2), and the result
+    is the direct sum's up to rounding.  Diagonal systems are solved
+    elementwise and every column is transformed alone, so decoupled modes stay
+    exactly decoupled (mode-for-mode identical across different N).
     """
     M = ivp.grid.M
     if M < 2:
@@ -249,41 +269,54 @@ def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     alpha = ivp.alpha
     N = ivp.N
     b, w0 = _l1_weights(alpha, M, ivp.grid.dt)
-    d = b[:-1] - b[1:]  # d_j = b_{j-1} - b_j > 0, j = 1..M-1
+    # d[j] = b_{j-1} - b_j > 0 for j = 1..M-1, the weight of c_{m-j}; d[0] unused
+    d = np.concatenate([[0.0], b[:-1] - b[1:]])
 
     # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
     # counting them allocates nothing the size of A
     diag_only = np.count_nonzero(ivp.A) == np.count_nonzero(np.diagonal(ivp.A, axis1=1, axis2=2))
     c = np.zeros((M + 1, N))
+    far = np.zeros((M + 1, N))  # history from nodes before the current block
     eye = np.eye(N)
-    for m in range(1, M + 1):
-        hist = np.zeros(N)
-        if m >= 2:
-            # sum_{j=1}^{m-1} d_j c_{m-j}
-            hist = d[: m - 1] @ c[m - 1 : 0 : -1]
-        rhs = ivp.f[m] + w0 * hist
-        if diag_only:
-            diag = np.diagonal(ivp.A[m])
-            denom = w0 + diag
-            if np.any(denom == 0.0):
-                k = int(np.argmax(denom == 0.0))
-                raise SingularStepError(
-                    f"singular implicit step at node {m}: eigenvalue ~ {-w0}",
-                    node=m,
-                    eigenvalue_estimate=float(diag[k]),
-                )
-            c[m] = rhs / denom
-        else:
-            try:
-                c[m] = np.linalg.solve(w0 * eye + ivp.A[m], rhs)
-            except np.linalg.LinAlgError:
-                eigs = np.linalg.eigvals(ivp.A[m])
-                worst = eigs[np.argmin(np.abs(eigs + w0))]
-                raise SingularStepError(
-                    f"singular implicit step at node {m}: A eigenvalue {worst} ~ -w0 = {-w0}",
-                    node=m,
-                    eigenvalue_estimate=float(np.real(worst)),
-                ) from None
+
+    def march(lo: int, hi: int) -> None:
+        for m in range(lo, hi):
+            # sum_{j=1}^{m-1} d_j c_{m-j}: nodes lo..m-1 here, the rest in far
+            hist = far[m] + d[1 : m - lo + 1] @ c[m - 1 : lo - 1 : -1]
+            rhs = ivp.f[m] + w0 * hist
+            if diag_only:
+                diag = np.diagonal(ivp.A[m])
+                denom = w0 + diag
+                if np.any(denom == 0.0):
+                    k = int(np.argmax(denom == 0.0))
+                    raise SingularStepError(
+                        f"singular implicit step at node {m}: eigenvalue ~ {-w0}",
+                        node=m,
+                        eigenvalue_estimate=float(diag[k]),
+                    )
+                c[m] = rhs / denom
+            else:
+                try:
+                    c[m] = np.linalg.solve(w0 * eye + ivp.A[m], rhs)
+                except np.linalg.LinAlgError:
+                    eigs = np.linalg.eigvals(ivp.A[m])
+                    worst = eigs[np.argmin(np.abs(eigs + w0))]
+                    raise SingularStepError(
+                        f"singular implicit step at node {m}: A eigenvalue {worst} ~ -w0 = {-w0}",
+                        node=m,
+                        eigenvalue_estimate=float(np.real(worst)),
+                    ) from None
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _L1_LEAF:
+            march(lo, hi)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        far[mid:hi] += _conv_tail(d, c[lo:mid], hi - mid)
+        solve(mid, hi)
+
+    solve(1, M + 1)
     return ModalTrajectory(ivp.grid, c, alpha, "l1")
 
 

@@ -404,6 +404,22 @@ def _causal_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _conv_tail(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """y[p] = sum_{q<k} kernel[k+p-q] x[q] for p < n, x of shape (k, N), by FFT.
+
+    The rows k..k+n-1 of the causal convolution of kernel with x followed by
+    n zeros: what a block of inputs adds to the n outputs after it.  One
+    rfft/irfft pair of length L = k + n covers every column of x; the circular
+    wrap lands below row k, so the rows kept are exact up to rounding.
+    kernel needs L entries; kernel[0] never enters.
+    """
+    k = x.shape[0]
+    L = k + n
+    spec = np.fft.rfft(x, n=L, axis=0)
+    spec *= np.fft.rfft(kernel[:L])[:, None]
+    return np.fft.irfft(spec, n=L, axis=0)[k:]
+
+
 def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights for I^order against piecewise-linear data on a uniform grid.
 

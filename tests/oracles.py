@@ -2,9 +2,12 @@
 
 These deliberately avoid the code paths under test: the Mittag-Leffler
 reference sums the defining series in scaled arbitrary precision, the dense
-quadrature oracles integrate with plain Simpson sums, and the 2-D form oracle
-tabulates every basis function on one dense tensor Gauss-Legendre grid.
+quadrature oracles integrate with plain Simpson sums, the 2-D form oracle
+tabulates every basis function on one dense tensor Gauss-Legendre grid, and
+the L1 march sums the whole history at every node.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -86,3 +89,27 @@ def dense_form_2d(lengths, modes, coeffs, n) -> np.ndarray:
         for row, col in terms[name]:
             A += np.einsum("ixy,xy,jxy->ij", row, cw, col)
     return A
+
+
+def l1_march(alpha: float, T: float, A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The L1 scheme by its definition, O(M^2): c_0 = 0 and, for m = 1..M,
+
+    w0 sum_{j<m} b_j (c_{m-j} - c_{m-j-1}) + A_m c_m = f_m,
+
+    b_j = (j+1)^(1-alpha) - j^(1-alpha), w0 = dt^(-alpha) / Gamma(2-alpha).
+    The history is summed over the increments at every node and each step is
+    one dense solve.  A is (M+1, N, N), f is (M+1, N).
+    """
+    M = len(f) - 1
+    w0 = (T / M) ** (-alpha) / math.gamma(2.0 - alpha)
+    j = np.arange(M, dtype=float)
+    b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    c = np.zeros(f.shape)
+    dc = np.zeros(f.shape)  # dc[k] = c_{k+1} - c_k
+    eye = np.eye(f.shape[1])
+    for m in range(1, M + 1):
+        older = b[1:m] @ dc[: m - 1][::-1]  # j = 1..m-1 pair with dc[m-1-j]
+        rhs = f[m] + w0 * (b[0] * c[m - 1] - older)
+        c[m] = np.linalg.solve(w0 * b[0] * eye + A[m], rhs)
+        dc[m - 1] = c[m] - c[m - 1]
+    return c

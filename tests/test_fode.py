@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ml_reference
+from oracles import l1_march, ml_reference
 
 from fracspec.fraccalc import GridSeries, TimeGrid, _pl_weights, ml, rl_integral
 from fracspec.fode import (
@@ -180,6 +180,18 @@ class TestPicard:
         with pytest.raises(PicardDivergenceError):
             picard_solve(scalar_ivp(T=1.0), PicardConfig(max_iters=2))
 
+    def test_huge_forcing_does_not_overflow(self):
+        # regression: the sup norm squared the entries, so f = 1e200 raised
+        # "non-finite values" although every iterate is finite.  The stop rule
+        # is absolute below ||c|| = 1 and relative above, so both solves run
+        # to a tolerance far below the 1e-12 compared here.
+        g = TimeGrid(1.0, 16)
+        cfg = PicardConfig(tol=1e-13)
+        ones = np.ones((17, 1, 1))
+        unit, _ = picard_solve(FractionalIVP(0.5, g, ones, np.ones((17, 1))), cfg)
+        huge, _ = picard_solve(FractionalIVP(0.5, g, ones, np.full((17, 1), 1e200)), cfg)
+        np.testing.assert_allclose(huge.values, 1e200 * unit.values, rtol=1e-12, atol=0.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PicardConfig(max_iters=0)
@@ -217,19 +229,54 @@ class TestL1Solve:
         assert exc.value.node == 1
 
     def test_mode_decoupling_is_exact(self):
-        # diagonal system: mode columns identical across different N
-        g = TimeGrid(1.0, 128)
-        lam = np.array([2.0, 5.0, 9.0, 11.0])
-        f1 = np.zeros((129, 1))
-        f1[:, 0] = np.sin(g.nodes)
-        small = FractionalIVP(0.5, g, np.broadcast_to(np.diag(lam[:1]), (129, 1, 1)), f1)
-        f4 = np.zeros((129, 4))
-        f4[:, 0] = np.sin(g.nodes)
-        big = FractionalIVP(0.5, g, np.broadcast_to(np.diag(lam), (129, 4, 4)), f4)
-        a = l1_solve(small).values[:, 0]
-        b = l1_solve(big).values
-        assert np.array_equal(a, b[:, 0])
-        assert np.all(b[:, 1:] == 0.0)
+        # diagonal system: mode columns identical across different N, also at
+        # M = 2048, where the history passes through several FFT levels
+        lam = np.array([2.0, 5.0, 9.0, 11.0, 0.5, 30.0, 7.0])
+        for M in (128, 2048):
+            g = TimeGrid(1.0, M)
+            solves = {}
+            for N in (1, 4, 7):
+                f = np.sin(np.outer(g.nodes, np.arange(1.0, N + 1.0)))
+                f[:, 2:3] = 0.0  # an unforced mode stays exactly zero
+                A = np.broadcast_to(np.diag(lam[:N]), (M + 1, N, N))
+                solves[N] = l1_solve(FractionalIVP(0.5, g, A, f)).values
+            for N in (1, 4):
+                assert np.array_equal(solves[N], solves[7][:, :N])
+            assert np.all(solves[7][:, 2] == 0.0)
+
+    def test_matches_plain_march(self):
+        # dense non-symmetric time-dependent A on M = 1000 nodes: the history
+        # splitting recurses several levels deep and must reproduce the
+        # direct O(M^2) march node by node
+        M, N = 1000, 5
+        g = TimeGrid(2.0, M)
+        rng = np.random.default_rng(11)
+        B0, B1 = rng.standard_normal((2, N, N))
+        A = 3.0 * np.eye(N) + B0 + np.cos(3.0 * g.nodes)[:, None, None] * B1
+        f = np.cos(np.outer(g.nodes, rng.uniform(0.5, 4.0, N))) + rng.standard_normal(N)
+        ivp = FractionalIVP(0.35, g, A, f)
+        got = l1_solve(ivp).values
+        ref = l1_march(0.35, 2.0, A, f)
+        err = np.linalg.norm(got - ref, axis=1)[1:] / np.linalg.norm(ref, axis=1)[1:]
+        assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_singular_step_at_late_node(self, dense):
+        # the step matrix w0 I + A is exactly singular at node 700 only: the
+        # error names that node on the diagonal and on the dense path
+        M, N, bad = 1000, 4, 700
+        g = TimeGrid(1.0, M)
+        w0 = g.dt ** (-0.5) / math.gamma(1.5)
+        A = np.tile(np.diag([1.0, 2.0, 3.0, 4.0]), (M + 1, 1, 1))
+        if dense:
+            A += 0.1 * np.random.default_rng(5).standard_normal((M + 1, N, N))
+        A[bad, 1, :] = 0.0  # row 1 of w0 I + A vanishes exactly
+        A[bad, 1, 1] = -w0
+        ivp = FractionalIVP(0.5, g, A, np.ones((M + 1, N)))
+        with pytest.raises(SingularStepError) as exc:
+            l1_solve(ivp)
+        assert exc.value.node == bad
+        assert exc.value.eigenvalue_estimate == pytest.approx(-w0, rel=1e-9)
 
     def test_dense_solve_allocates_no_copy_of_a(self):
         # regression: the diagonal test built A * eye, a full-size copy of A
@@ -245,6 +292,21 @@ class TestL1Solve:
         finally:
             tracemalloc.stop()
         assert peak < ivp.A.nbytes / 4
+
+    def test_memory_linear_in_m(self):
+        # the history splitting holds O(M N) doubles: no O(M^2) or O(M N^2)
+        # temporary may appear
+        M, N = 8192, 32
+        band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1) - np.diag(np.ones(N - 1), -1)
+        A = band + np.linspace(0.0, 1.0, M + 1)[:, None, None] * np.diag(np.ones(N - 2), 2)
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.ones((M + 1, N)))
+        tracemalloc.start()
+        try:
+            l1_solve(ivp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (M + 1) * N * 8
 
 
 class TestVariationOfConstants:

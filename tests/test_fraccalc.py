@@ -16,7 +16,7 @@ from fracspec import (
     rl_integral,
     rl_integral_left,
 )
-from fracspec.fraccalc import _causal_conv, _pl_weights, ml_array
+from fracspec.fraccalc import _causal_conv, _conv_tail, _pl_weights, ml_array
 
 
 def series(T, M, fn):
@@ -207,6 +207,18 @@ class TestCausalConv:
             cols = x.reshape(n, -1)
             want = np.stack([np.convolve(kernel, cols[:, c])[:n] for c in range(cols.shape[1])], axis=1)
             assert np.array_equal(got.reshape(n, -1), want)
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (5, 8), (64, 63), (257, 300)])
+    def test_tail_matches_direct_convolution(self, k, n):
+        # the FFT block product equals the rows k..k+n-1 of the direct
+        # convolution of the kernel with x padded by n zeros
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((k, 3))
+        kernel = _pl_weights(0.4, k + n)[1]
+        got = _conv_tail(kernel, x, n)
+        want = np.stack([np.convolve(kernel, x[:, c])[k : k + n] for c in range(3)], axis=1)
+        assert got.shape == (n, 3)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
 class TestConvolve:
