@@ -11,6 +11,7 @@ from .fraccalc import (
     integration_by_parts_residual,
     mittag_leffler,
     ml,
+    ml_array,
     rl_derivative,
     rl_integral,
     rl_integral_left,
@@ -28,6 +29,7 @@ __all__ = [
     "integration_by_parts_residual",
     "mittag_leffler",
     "ml",
+    "ml_array",
     "rl_derivative",
     "rl_integral",
     "rl_integral_left",

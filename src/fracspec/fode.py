@@ -75,6 +75,9 @@ class FractionalIVP:
     """D^alpha c + A(t) c = f(t) on a uniform grid, c(0) = 0.
 
     A has shape (M+1, N, N) and f has shape (M+1, N), sampled at the nodes.
+    Both are held as read-only views, not copies: a float array passed in is
+    shared (a broadcast A stays a broadcast), so the caller must not modify it
+    while the problem is in use.
     """
 
     alpha: float
@@ -100,8 +103,8 @@ class FractionalIVP:
             raise ValueError(f"incompatible shapes A {A.shape}, f {f.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(f))):
             raise ValueError("A and f must be finite")
-        A = A.copy()
-        f = f.copy()
+        A = A.view()
+        f = f.view()
         A.flags.writeable = False
         f.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -325,8 +328,11 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
 
     c(t) = int_0^t (t-s)^(alpha-1) E_{alpha,alpha}(-lam (t-s)^alpha) f(t-s) ds
     evaluated with the kernel handled exactly against piecewise-linear f,
-    using the antiderivative pair E_alpha and E_{alpha,2}.  Exact (up to the
-    special-function tolerance) for constant f; the oracle for both solvers.
+    using its antiderivative u = s^alpha E_{alpha,alpha+1}(-lam s^alpha) and
+    u's antiderivative v = s^(alpha+1) E_{alpha,alpha+2}(-lam s^alpha).
+    Nothing is divided by lam, so the weights stay accurate as lam -> 0 and
+    lam = 0 gives the I^alpha weights.  Exact (up to the special-function
+    tolerance) for constant f; the oracle for both solvers.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -335,22 +341,18 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
     vals = np.asarray(f.values, dtype=float)
     if vals.ndim != 1:
         raise ValueError("variation_of_constants solves scalar problems")
-    if lam == 0.0:
-        return GridSeries(f.grid, _fractional_integral_values(vals, alpha, f.grid.dt))
     M = f.grid.M
     dt = f.grid.dt
     r = np.arange(M + 1, dtype=float)
     s = r * dt
-    G = ml_array(alpha, -lam * s**alpha)          # E_alpha(-lam s^alpha)
-    E2 = ml_array(alpha, -lam * s**alpha, 2.0)
-    H = s * E2                                    # int_0^s G
+    sa = s**alpha
+    u = sa * ml_array(alpha, -lam * sa, alpha + 1.0)      # int_0^s kernel
+    v = s * sa * ml_array(alpha, -lam * sa, alpha + 2.0)  # int_0^s u
     rr = r[1:]
-    dG = G[1:] - G[:-1]
-    sGd = dt * (rr * G[1:] - (rr - 1.0) * G[:-1])
-    dH = H[1:] - H[:-1]
-    core = (sGd - dH) / dt
-    P = -(1.0 / lam) * ((1.0 - rr) * dG + core)   # weight of f_j, r = m - j
-    Q = -(1.0 / lam) * (rr * dG - core)           # weight of f_{j+1}
+    du = u[1:] - u[:-1]
+    core = (rr * u[1:] - (rr - 1.0) * u[:-1]) - (v[1:] - v[:-1]) / dt
+    P = (1.0 - rr) * du + core                    # weight of f_j, r = m - j
+    Q = rr * du - core                            # weight of f_{j+1}
     out = np.zeros(M + 1)
     out[1:] = _causal_conv(P, vals[:M]) + _causal_conv(Q, vals[1:])
     return GridSeries(f.grid, out)

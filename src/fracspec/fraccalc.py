@@ -140,180 +140,238 @@ class MLParams:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
 
 
-def _series_float(a: float, b: float, z: float, tol: float) -> tuple[float, float]:
-    """Power series with Kahan compensation; returns (sum, max |term|)."""
-    ln_z = math.log(abs(z))
-    k_peak = max(0.0, (abs(z) ** (1.0 / a) - b) / a)
-    total = 0.0
-    comp = 0.0
-    max_term = 0.0
-    k = 0
-    while True:
-        lt = k * ln_z - _lgamma(a * k + b) if k > 0 else -_lgamma(b)
-        term = math.exp(lt) if lt > -745.0 else 0.0
-        if z < 0.0 and (k & 1):
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        at = abs(term)
-        if at > max_term:
-            max_term = at
-        if k > k_peak and at < 1e-3 * tol * (abs(total) + 1e-300):
-            return total, max_term
-        k += 1
-        if k > 200_000:
-            raise RuntimeError("Mittag-Leffler series failed to converge")
+# Every branch evaluates its points in blocks whose temporaries fit this many
+# bytes, sized before allocating, so memory does not grow with the batch.
+_BLOCK_BYTES = 1 << 20
 
 
-def _algebraic_tail(a: float, b: float, z: float, tol: float) -> float:
-    """-sum_{k>=1} z^{-k} / Gamma(b - a k), truncated at its smallest term.
+def _blocks(n: int, doubles_per_point: int):
+    """Slices covering range(n), each as many points as fit _BLOCK_BYTES at
+    doubles_per_point doubles a point (at least one)."""
+    step = max(1, _BLOCK_BYTES // (8 * doubles_per_point))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _series_float(a: float, b: float, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Power series with Kahan compensation at every point of the 1-d array z;
+    returns (sum, max |term|).  Each point stops at its own term."""
+    total = np.empty(z.shape)
+    max_term = np.empty(z.shape)
+    for sl in _blocks(len(z), 16):
+        zb = z[sl]
+        ln_z = np.log(np.abs(zb))
+        k_peak = np.maximum(0.0, (np.abs(zb) ** (1.0 / a) - b) / a)
+        odd_sign = np.where(zb < 0.0, -1.0, 1.0)
+        tot = np.zeros(zb.shape)
+        comp = np.zeros(zb.shape)
+        mx = np.zeros(zb.shape)
+        live = np.ones(zb.shape, dtype=bool)
+        k = 0
+        while live.any():
+            if k > 200_000:
+                raise RuntimeError("Mittag-Leffler series failed to converge")
+            lt = k * ln_z - _lgamma(a * k + b)
+            term = np.where(lt > -745.0, np.exp(lt), 0.0)
+            if k & 1:
+                term *= odd_sign
+            y = term - comp
+            t = tot + y
+            comp = np.where(live, (t - tot) - y, comp)
+            tot = np.where(live, t, tot)
+            at = np.abs(term)
+            mx = np.where(live, np.maximum(mx, at), mx)
+            live &= ~((k > k_peak) & (at < 1e-3 * tol * (np.abs(tot) + 1e-300)))
+            k += 1
+        total[sl] = tot
+        max_term[sl] = mx
+    return total, max_term
+
+
+_TAIL_TERMS = 399
+
+
+def _algebraic_tail(a: float, b: float, z, tol: float):
+    """-sum_{k>=1} z^{-k} / Gamma(b - a k) at every point of z, each truncated
+    at its smallest term.
 
     Valid asymptotic expansion on the negative axis (|arg z| > a*pi) and the
     algebraic correction for large positive z.
     """
-    ln_inv = -math.log(abs(z))
+    zf = np.asarray(z, dtype=float)
+    flat = zf.reshape(-1)
     # Raw term magnitudes wiggle through the Gamma poles, so truncation is
     # decided on a continuous envelope: |1/Gamma(x)| <= 1/Gamma(x) for
     # x >= 1/2 and <= Gamma(1-x)/pi below (the two agree at x = 1/2).
-    lenvs = []
-    lenv_min = math.inf
-    k_min = 0
-    for k in range(1, 400):
+    # env, log_r (log |1/Gamma(x)|) and sign_r depend on k only: one table
+    # serves every point.
+    env, log_r, sign_r = [], [], []
+    for k in range(1, _TAIL_TERMS + 1):
         x = b - a * k
-        if x >= 0.5:
-            lenv = -_lgamma(x) + k * ln_inv
+        env.append(-_lgamma(x) if x >= 0.5 else _lgamma(1.0 - x) - math.log(math.pi))
+        if x > 0.0:
+            log_r.append(-_lgamma(x))
+            sign_r.append(1.0)
+        elif x == math.floor(x):
+            log_r.append(-math.inf)
+            sign_r.append(0.0)  # Gamma poles vanish exactly
         else:
-            lenv = _lgamma(1.0 - x) - math.log(math.pi) + k * ln_inv
-        lenvs.append(lenv)
-        if lenv < lenv_min:
-            lenv_min = lenv
-            k_min = k
-        if lenv > lenv_min + 3.0 and k > k_min + 3:
-            break  # decisively past the optimal-truncation minimum
-    total = 0.0
-    comp = 0.0
-    for k in range(1, k_min + 1):
-        x = b - a * k
-        if not (x <= 0.0 and x == math.floor(x)):  # Gamma poles vanish exactly
-            if x > 0.0:
-                lt = -_lgamma(x) + k * ln_inv
-                sgn_r = 1.0
-            else:
-                s = math.sin(math.pi * x)
-                lt = _lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi) + k * ln_inv
-                sgn_r = math.copysign(1.0, s)
-            mag = math.exp(lt) if lt > -745.0 else 0.0
-            sgn_zk = 1.0 if (z > 0.0 or k % 2 == 0) else -1.0
-            term = -sgn_zk * sgn_r * mag
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        # stop on the sine-free envelope: raw magnitudes dip spuriously near
-        # the poles and would truncate the series early
-        if math.exp(min(lenvs[k - 1], 700.0)) < 1e-4 * tol * (abs(total) + 1e-300):
-            break
-    return total
+            s = math.sin(math.pi * x)
+            log_r.append(_lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi))
+            sign_r.append(math.copysign(1.0, s))
+    env = np.array(env)
+    ks = np.arange(1.0, _TAIL_TERMS + 1.0)
+    out = np.empty(flat.shape)
+    for sl in _blocks(len(flat), 3 * _TAIL_TERMS):
+        zb = flat[sl]
+        rows = np.arange(len(zb))
+        ln_inv = -np.log(np.abs(zb))
+        lenv = env + ks * ln_inv[:, None]
+        # truncate at the running minimum of the envelope, scanned until it
+        # is decisively passed: 3 above the minimum, 4 or more terms on
+        run = np.minimum.accumulate(lenv, axis=1)
+        past = (lenv[:, 4:] > run[:, 4:] + 3.0) & (run[:, 4:] == run[:, :-4])
+        last = np.where(past.any(axis=1), past.argmax(axis=1) + 4, _TAIL_TERMS - 1)
+        k_min = np.argmax(lenv == run[rows, last][:, None], axis=1) + 1
+        odd_sign = np.where(zb > 0.0, 1.0, -1.0)
+        total = np.zeros(zb.shape)
+        comp = np.zeros(zb.shape)
+        live = np.ones(zb.shape, dtype=bool)
+        for k in range(1, int(k_min.max()) + 1):
+            live &= k <= k_min
+            if not live.any():
+                break
+            if sign_r[k - 1]:
+                lt = log_r[k - 1] + k * ln_inv
+                term = np.where(lt > -745.0, np.exp(lt), 0.0) * -sign_r[k - 1]
+                if k & 1:
+                    term *= odd_sign
+                y = term - comp
+                t = total + y
+                comp = np.where(live, (t - total) - y, comp)
+                total = np.where(live, t, total)
+            # stop on the sine-free envelope: raw magnitudes dip spuriously near
+            # the poles and would truncate the series early
+            env_k = np.exp(np.minimum(lenv[:, k - 1], 700.0))
+            live &= ~(env_k < 1e-4 * tol * (np.abs(total) + 1e-300))
+        out[sl] = total
+    return out.reshape(zf.shape)[()]
 
 
-def _asymptotic_pos(a: float, b: float, z: float, tol: float) -> float:
+def _asymptotic_pos(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
     """Exponential leading term plus algebraic correction for z > +cut."""
-    s = z ** (1.0 / a)
-    llead = s + ((1.0 - b) / a) * math.log(z) - math.log(a)
-    if llead > _LN_DBL_MAX:
+    llead = z ** (1.0 / a) + ((1.0 - b) / a) * np.log(z) - math.log(a)
+    over = llead > _LN_DBL_MAX
+    if over.any():
         raise OverflowError(
-            f"E_{{{a},{b}}}({z}): z**(1/alpha) exceeds the floating range"
+            f"E_{{{a},{b}}}({z[over][0]}): z**(1/alpha) exceeds the floating range"
         )
-    return math.exp(llead) + _algebraic_tail(a, b, z, tol)
+    return np.exp(llead) + _algebraic_tail(a, b, z, tol)
 
 
-def _series_mp(a: float, b: float, z: float) -> float:
-    """Arbitrary-precision series; precision scaled to the cancellation size.
+def _series_mp(a: float, b: float, z):
+    """Arbitrary-precision series at every point of z; each point's precision
+    is scaled to its cancellation size |z|**(1/a).
 
     Every term is formed in mpf arithmetic (including the Gamma argument):
     a binary64 argument would inject ~1e-14 relative noise per term, fatal
-    after tens of digits of alternating-term cancellation.
+    after tens of digits of alternating-term cancellation.  The points share
+    one table of 1/Gamma(a k + b), formed at the largest precision any of
+    them needs.
     """
-    s = abs(z) ** (1.0 / a)
-    dps = 30 + int(0.45 * s)
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        aa = mpmath.mpf(a)
-        bb = mpmath.mpf(b)
-        total = mpmath.mpf(0)
-        max_term = mpmath.mpf(0)
-        floor = mpmath.mpf(10) ** (-dps + 2)
-        if a == 1.0:
-            term = 1.0 / mpmath.gamma(bb)
-            k = 0
-            while True:
-                total += term
-                if abs(term) > max_term:
-                    max_term = abs(term)
-                term = term * zz / (k + bb)
-                k += 1
-                if k > abs(z) + 10 and abs(term) < floor * max_term:
-                    break
-                if k > 1_000_000:
-                    raise RuntimeError("extended-precision series failed to converge")
-        else:
-            k = 0
+    zf = np.asarray(z, dtype=float)
+    flat = zf.reshape(-1)
+    s = np.abs(flat) ** (1.0 / a)
+    # the largest term is ~exp(s); the sum is O(1/|z|) below alpha = 1 but
+    # can be exp(-s) at alpha = 1 (E_1(-s) = exp(-s)), twice the cancellation
+    dps = 30 + ((0.9 if a == 1.0 else 0.45) * s).astype(int)
+    top = int(dps.max(initial=0))
+    rgamma = []  # rgamma[k] = 1/Gamma(a k + b) at top digits
+    out = np.empty(flat.shape)
+    for i, (zi, si, d) in enumerate(zip(flat.tolist(), s.tolist(), dps.tolist())):
+        with mpmath.workdps(d):
+            zz = mpmath.mpf(zi)
+            total = mpmath.mpf(0)
+            max_term = mpmath.mpf(0)
+            floor = mpmath.mpf(10) ** (-d + 2)
             power = mpmath.mpf(1)
+            k = 0
             while True:
-                term = power / mpmath.gamma(aa * k + bb)
+                if k == len(rgamma):
+                    with mpmath.workdps(top):
+                        if a == 1.0 and k:  # Gamma(x + 1) = x Gamma(x)
+                            rgamma.append(rgamma[-1] / (k - 1 + mpmath.mpf(b)))
+                        else:
+                            rgamma.append(mpmath.rgamma(mpmath.mpf(a) * k + b))
+                term = power * rgamma[k]
                 total += term
                 if abs(term) > max_term:
                     max_term = abs(term)
                 power *= zz
                 k += 1
-                if k > s / a + 10 and abs(term) < floor * max_term:
+                if k > si / a + 10 and abs(term) < floor * max_term:
                     break
                 if k > 1_000_000:
                     raise RuntimeError("extended-precision series failed to converge")
-        return float(total)
+            out[i] = float(total)
+    return out.reshape(zf.shape)[()]
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
+_KERNEL_NODES = 12 * 102  # Gauss nodes per point: 12 on each of 102 panels
 
 
-def _kernel_integral_neg(a: float, b: float, z: float, tol: float) -> float:
-    """E_{a,b}(z) for z < 0, 0 < a <= 0.95, via the real-line kernel integral.
+def _kernel_integral_neg(a: float, b: float, z, tol: float):
+    """E_{a,b}(z) at every point of z < 0, 0 < a <= 0.95, via the real-line
+    kernel integral.
 
     Requires b <= 1 so the integrand stays bounded at 0; callers reduce beta
-    with E_{a,B+a}(z) = (E_{a,B}(z) - 1/Gamma(B)) / z first.
+    with E_{a,B+a}(z) = (E_{a,B}(z) - 1/Gamma(B)) / z first.  Each point gets
+    103 sorted panel edges; an edge that two pieces share makes a zero-width
+    panel, which adds exactly 0.
     """
-    x = -z
-    chi0 = max(1.0, 2.0 * x, (-math.log(1e-16 * math.pi / 6.0)) ** a)
-    edges = [0.0]
-    lo = min(1.0, chi0)
-    edges.extend(lo * np.geomspace(1e-10, 1.0, 25))
-    if x < chi0:
-        # resolve the denominator peak near chi = x (width ~ x*sin(pi a))
-        edges.extend(np.clip(x * np.linspace(0.2, 2.5, 30), 0.0, chi0))
-    # resolve the O(1)-scale decay of exp(-chi**(1/a))
-    edges.extend(np.linspace(lo, min(12.0, chi0), 22))
-    edges.extend(np.linspace(lo, chi0, 25))
-    edges = np.unique(np.asarray(edges))
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    chi = (mid[:, None] + half[:, None] * _GL12_X[None, :]).ravel()
-    w = (half[:, None] * _GL12_W[None, :]).ravel()
-
+    zf = np.asarray(z, dtype=float)
+    flat = zf.reshape(-1)
+    geom = np.geomspace(1e-10, 1.0, 25)
+    peak = np.linspace(0.2, 2.5, 30)
+    chi_tail = (-math.log(1e-16 * math.pi / 6.0)) ** a
     sb = math.sin(math.pi * (1.0 - b))
     sba = math.sin(math.pi * (1.0 - b + a))
     ca = math.cos(math.pi * a)
     expo = (1.0 - b) / a
-    with np.errstate(divide="ignore"):
-        pref = np.where(chi > 0.0, chi**expo, 0.0 if expo > 0 else 1.0)
-    num = chi * sb - z * sba
-    den = chi * chi - 2.0 * chi * z * ca + z * z
-    kern = pref * np.exp(-(chi ** (1.0 / a))) * num / den / (a * math.pi)
-    return float(np.dot(w, kern))
+    out = np.empty(flat.shape)
+    for sl in _blocks(len(flat), 6 * _KERNEL_NODES):
+        zb = flat[sl]
+        x = -zb
+        chi0 = np.maximum(np.maximum(1.0, 2.0 * x), chi_tail)  # >= 1 and > x
+        edges = np.concatenate(
+            [
+                np.zeros((len(x), 1)),
+                np.broadcast_to(geom, (len(x), 25)),
+                # resolve the denominator peak near chi = x (width ~ x*sin(pi a))
+                np.clip(x[:, None] * peak, 0.0, chi0[:, None]),
+                # resolve the O(1)-scale decay of exp(-chi**(1/a))
+                np.linspace(1.0, np.minimum(12.0, chi0), 22, axis=1),
+                np.linspace(1.0, chi0, 25, axis=1),
+            ],
+            axis=1,
+        )
+        edges.sort(axis=1)
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        chi = (mid[:, :, None] + half[:, :, None] * _GL12_X).reshape(len(x), -1)
+        w = (half[:, :, None] * _GL12_W).reshape(len(x), -1)
+        zc = zb[:, None]
+        kern = chi**expo
+        kern *= np.exp(-(chi ** (1.0 / a)))
+        kern *= chi * sb - zc * sba
+        kern /= chi * chi - 2.0 * chi * zc * ca + zc * zc
+        kern /= a * math.pi
+        out[sl] = np.einsum("ij,ij->i", w, kern)
+    return out.reshape(zf.shape)[()]
 
 
-def _ml_negative_robust(a: float, b: float, z: float, tol: float) -> float:
+def _ml_negative_robust(a: float, b: float, z, tol: float):
+    """E_{a,b}(z) at every point of z < 0 by a route that does not cancel."""
     if a > 0.95:
         return _series_mp(a, b, z)
     m = 0
@@ -331,58 +389,83 @@ def _ml_negative_robust(a: float, b: float, z: float, tol: float) -> float:
 def mittag_leffler(p: MLParams, z: float) -> float:
     """E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta), real z.
 
-    Power series (compensated summation) for moderate |z|, escalating to a
-    kernel integral representation or extended-precision summation when the
-    binary64 series would lose more than the requested relative tolerance to
-    cancellation; algebraic asymptotics below -40, exponential-plus-algebraic
-    asymptotics above +40.  Raises OverflowError when z**(1/alpha) exceeds the
-    floating range.
+    The one-point case of :func:`ml_array`.  Each argument is evaluated by one
+    branch:
+
+    * z = 0: 1/Gamma(beta).
+    * 0 < z <= 40: the power series in binary64 with compensated summation.
+    * z > 40: the exponential leading term z^((1-beta)/alpha) exp(z^(1/alpha))
+      / alpha plus the algebraic tail below.
+    * -40 <= z < 0 with |z|^(1/alpha) <= 4: the compensated power series,
+      kept only if it lost less than tol/4 to alternating-term cancellation.
+      Otherwise, and for |z|^(1/alpha) > 4, the robust route: for
+      alpha <= 0.95 the real-line kernel integral (beta first reduced to <= 1
+      by E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z); for alpha > 0.95 the
+      mpmath series, its precision scaled to the cancellation size
+      |z|^(1/alpha).
+    * z < -40: the algebraic asymptotic tail -sum_{k>=1} z^-k /
+      Gamma(beta - alpha k), truncated at its smallest term; at alpha = 1,
+      where every term sits on a Gamma pole, the mpmath series.
+
+    Raises ValueError for a non-finite z and OverflowError when z**(1/alpha)
+    exceeds the floating range.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z}")
-    a, b, tol = p.alpha, p.beta, p.tol
-    if z == 0.0:
-        return recip_gamma(b)
-    if z > 0.0:
-        if math.log(z) / a > 0.995 * _LN_DBL_MAX:
-            raise OverflowError(
-                f"E_{{{a},{b}}}({z}): z**(1/alpha) exceeds the floating range"
-            )
-        if z > _SERIES_CUT:
-            return _asymptotic_pos(a, b, z, tol)
-        if z ** (1.0 / a) > 0.995 * _LN_DBL_MAX:
-            raise OverflowError(
-                f"E_{{{a},{b}}}({z}): z**(1/alpha) exceeds the floating range"
-            )
-        return _series_float(a, b, z, tol)[0]
-    # z < 0
-    if z < -_SERIES_CUT:
-        if a == 1.0:
-            return _series_mp(a, b, z)  # every algebraic term sits on a pole
-        return _algebraic_tail(a, b, z, tol)
-    s = (-z) ** (1.0 / a)
-    if s <= _FLOAT_CANCEL_CUT:
-        total, max_term = _series_float(a, b, z, tol)
-        if 2.3e-16 * max_term <= 0.25 * tol * abs(total):
-            return total
-    return _ml_negative_robust(a, b, z, tol)
+    return float(ml_array(p.alpha, z, p.beta, p.tol))
 
 
 def ml(alpha: float, z: float, beta: float = 1.0, tol: float = 1e-12) -> float:
-    """Convenience wrapper around :func:`mittag_leffler`."""
-    return mittag_leffler(MLParams(alpha, beta, tol), z)
+    """:func:`mittag_leffler` with the parameters passed one by one."""
+    return float(ml_array(alpha, z, beta, tol))
 
 
 def ml_array(alpha: float, z, beta: float = 1.0, tol: float = 1e-12) -> np.ndarray:
-    """Elementwise E_{alpha,beta} over an array of real arguments."""
+    """E_{alpha,beta} at every element of z, as an array of z's shape.
+
+    The branches are those listed in :func:`mittag_leffler`; every branch runs
+    once over all of its points, in blocks of bounded memory.  Raises
+    ValueError if any element is not finite and OverflowError if z**(1/alpha)
+    exceeds the floating range at any positive element.
+    """
     p = MLParams(alpha, beta, tol)
+    a, b, tol = p.alpha, p.beta, p.tol
     zf = np.asarray(z, dtype=float)
-    out = np.empty(zf.shape, dtype=float)
-    flat_in = zf.ravel()
-    flat_out = out.ravel()
-    for i, zi in enumerate(flat_in):
-        flat_out[i] = mittag_leffler(p, float(zi))
-    return out
+    finite = np.isfinite(zf)
+    if not finite.all():
+        raise ValueError(f"arguments must be finite, got {zf[~finite][0]}")
+    flat = zf.reshape(-1)
+    out = np.full(flat.shape, recip_gamma(b))  # z = 0 leaves the k = 0 term
+    pos = np.flatnonzero(flat > 0.0)
+    neg = np.flatnonzero(flat < 0.0)
+
+    zp = flat[pos]
+    small = zp <= _SERIES_CUT
+    over = np.log(zp) / a > 0.995 * _LN_DBL_MAX
+    if not over.any():  # z**(1/alpha) is finite now
+        over = small & (zp ** (1.0 / a) > 0.995 * _LN_DBL_MAX)
+    if over.any():
+        raise OverflowError(
+            f"E_{{{a},{b}}}({zp[over][0]}): z**(1/alpha) exceeds the floating range"
+        )
+    if not small.all():
+        out[pos[~small]] = _asymptotic_pos(a, b, zp[~small], tol)
+
+    zn = flat[neg]
+    # at alpha = 1 every algebraic term sits on a Gamma pole: below -cut the
+    # mpmath series of the robust route takes over
+    deep = (zn < -_SERIES_CUT) & (a < 1.0)
+    if deep.any():
+        out[neg[deep]] = _algebraic_tail(a, b, zn[deep], tol)
+    near = neg[~deep]
+    cheap = (-flat[near]) ** (1.0 / a) <= _FLOAT_CANCEL_CUT
+    series = np.concatenate([pos[small], near[cheap]])
+    total, max_term = _series_float(a, b, flat[series], tol)
+    # a negative point keeps its float sum only if cancellation cost < tol/4
+    kept = (flat[series] > 0.0) | (2.3e-16 * max_term <= 0.25 * tol * np.abs(total))
+    out[series[kept]] = total[kept]
+    robust = np.concatenate([near[~cheap], series[~kept]])
+    if robust.size:
+        out[robust] = _ml_negative_robust(a, b, flat[robust], tol)
+    return out.reshape(zf.shape)
 
 
 # ---------------------------------------------------------------------------

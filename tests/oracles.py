@@ -16,32 +16,37 @@ import numpy as np
 def ml_reference(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) by exact-arithmetic series summation.
 
-    Precision is scaled to the cancellation size |z|**(1/alpha); every term is
-    formed in mpf arithmetic, including the Gamma argument.
+    Precision starts from the cancellation size |z|**(1/alpha) and doubles
+    until at least 30 digits survive the cancellation (at alpha = 1 the sum
+    can lie as far below the largest term again: E_1(-s) = exp(-s)); every
+    term is formed in mpf arithmetic, including the Gamma argument.
     """
     s = abs(z) ** (1.0 / alpha)
     dps = 60 + int(0.45 * s)
-    if dps > 30_000:
-        raise ValueError("reference series infeasible at this argument")
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        aa = mpmath.mpf(alpha)
-        bb = mpmath.mpf(beta)
-        total = mpmath.mpf(0)
-        max_term = mpmath.mpf(0)
-        floor = mpmath.mpf(10) ** (-dps + 2)
-        power = mpmath.mpf(1)
-        k = 0
-        while True:
-            term = power / mpmath.gamma(aa * k + bb)
-            total += term
-            if abs(term) > max_term:
-                max_term = abs(term)
-            power *= zz
-            k += 1
-            if k > s / alpha + 10 and abs(term) < floor * max_term:
-                break
-        return float(total)
+    while True:
+        if dps > 30_000:
+            raise ValueError("reference series infeasible at this argument")
+        with mpmath.workdps(dps):
+            zz = mpmath.mpf(z)
+            aa = mpmath.mpf(alpha)
+            bb = mpmath.mpf(beta)
+            total = mpmath.mpf(0)
+            max_term = mpmath.mpf(0)
+            floor = mpmath.mpf(10) ** (-dps + 2)
+            power = mpmath.mpf(1)
+            k = 0
+            while True:
+                term = power / mpmath.gamma(aa * k + bb)
+                total += term
+                if abs(term) > max_term:
+                    max_term = abs(term)
+                power *= zz
+                k += 1
+                if k > s / alpha + 10 and abs(term) < floor * max_term:
+                    break
+            if abs(total) * mpmath.mpf(10) ** (dps - 30) >= max_term:
+                return float(total)
+        dps *= 2
 
 
 def simpson(values: np.ndarray, h: float) -> float:

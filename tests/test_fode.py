@@ -83,6 +83,23 @@ class TestFractionalIVP:
         with pytest.raises(ValueError):
             FractionalIVP(0.5, TimeGrid(1.0, 4), np.zeros(a_shape), np.zeros(f_shape))
 
+    def test_broadcast_a_is_not_materialised(self):
+        # regression: a time-constant A passed as a broadcast view was copied
+        # to (M+1) N^2 doubles; the problem now holds a read-only view
+        M, N = 8192, 32
+        band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1)
+        A = np.broadcast_to(band, (M + 1, N, N))
+        f = np.ones((M + 1, N))
+        tracemalloc.start()
+        try:
+            ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(ivp.A, band) and not ivp.A.flags.writeable
+        assert not ivp.f.flags.writeable
+        assert peak < A.size * 8 / 4
+
 
 class TestContractionBound:
     def test_arithmetic(self):
@@ -321,6 +338,17 @@ class TestVariationOfConstants:
         out = variation_of_constants(0.0, one, 0.5)
         expected = g.nodes**0.5 / math.gamma(1.5)
         assert np.max(np.abs(out.values - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-15, 1e-12])
+    @pytest.mark.parametrize("forcing", ["one", "sin3t"])
+    def test_tiny_lambda_approaches_fractional_integral(self, lam, forcing):
+        # the solution differs from I^alpha f by O(lam); weights formed by
+        # dividing by lam would lose that to cancellation
+        g = TimeGrid(1.0, 64)
+        f = GridSeries(g, np.ones(65) if forcing == "one" else np.sin(3.0 * g.nodes))
+        out = variation_of_constants(lam, f, 0.5).values[1:]
+        expected = rl_integral(f, 0.5).values[1:]
+        assert np.max(np.abs(out - expected) / np.abs(expected)) <= 1e-11
 
     def test_matches_closed_form(self):
         g = TimeGrid(1.0, 2048)

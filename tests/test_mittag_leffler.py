@@ -1,11 +1,14 @@
 """Mittag-Leffler evaluation against closed forms and a high-precision oracle."""
 
 import math
+import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from fracspec import MLParams, mittag_leffler
+from fracspec import MLParams, mittag_leffler, ml_array
 from fracspec.fraccalc import ml, recip_gamma
 
 from oracles import ml_reference
@@ -125,3 +128,100 @@ def test_recip_gamma_poles_and_reflection():
     assert recip_gamma(0.5) == pytest.approx(1.0 / math.gamma(0.5), rel=1e-15)
     # reflection branch: Gamma(-0.5) = -2 sqrt(pi)
     assert recip_gamma(-0.5) == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13)
+
+
+def test_exponential_identity_deep_negative_axis():
+    # alpha = 1 below -40 runs the mpmath series, whose sum lies exp(-2|z|)
+    # below its largest term: the precision must cover twice |z|/ln(10) digits
+    for z in (-45.0, -300.0):
+        assert ml(1.0, z) == pytest.approx(math.exp(z), rel=1e-12, abs=0)
+
+
+def _half_order_reference(beta: float, z: float) -> float:
+    """E_{1/2,beta}(z), beta in {1, 1.5, 2}: exp(z^2) erfc(-z) for beta = 1,
+    then E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z, all in mpmath."""
+    with mpmath.workdps(60):
+        zz = mpmath.mpf(z)
+        val = mpmath.exp(zz**2) * mpmath.erfc(-zz)
+        b = mpmath.mpf(1)
+        while b < beta:
+            val = (val - mpmath.rgamma(b)) / zz
+            b += mpmath.mpf(1) / 2
+        return float(val)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_ml_array_keeps_shape(shape):
+    z = -np.linspace(0.0, 50.0, math.prod(shape)).reshape(shape)
+    out = ml_array(0.6, z, 1.2)
+    assert isinstance(out, np.ndarray) and out.shape == shape
+    expected = [ml(0.6, zi, 1.2) for zi in z.ravel()]
+    np.testing.assert_allclose(out.ravel(), expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+def test_ml_array_mixed_branches(alpha, beta):
+    # one array through every branch open at alpha: z = 0, the positive
+    # series, the exponential asymptotic (where exp(z**(1/alpha)) fits a
+    # double), the float series, the kernel integral (alpha <= 0.95) or the
+    # mpmath series, and below -40 the algebraic tail or, at alpha = 1, the
+    # mpmath series
+    z = [0.0, 2.5, -0.2, -1.2, -3.0, -8.0, -15.0, -45.0, -300.0]
+    if 45.0 ** (1.0 / alpha) < 700.0:
+        z.append(45.0)
+    z = np.array(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = ml_array(alpha, z, beta)
+    for zi, gi in zip(z, got):
+        if abs(zi) ** (1.0 / alpha) <= 650.0:
+            assert gi == pytest.approx(ml_reference(alpha, beta, zi), rel=5e-12, abs=0), zi
+        elif alpha == 0.5:
+            assert gi == pytest.approx(_half_order_reference(beta, zi), rel=1e-12, abs=0), zi
+
+
+def test_cancelled_float_series_takes_robust_route():
+    # E_{0.9,0.4}(-0.678) lies ~1e-4 below the largest term of its series:
+    # the float sum is handed to the robust route, also inside a batch
+    from fracspec.fraccalc import _ml_negative_robust
+
+    z = np.array([-0.2, -0.677947, -0.5])
+    got = ml_array(0.9, z, 0.4)
+    assert got[1] == _ml_negative_robust(0.9, 0.4, z[1], 1e-12)
+    for zi, gi in zip(z, got):
+        assert gi == pytest.approx(ml_reference(0.9, 0.4, zi), rel=5e-12, abs=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ml_array_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        ml_array(0.5, [[-1.0, 0.0], [bad, 2.0]])
+
+
+def test_ml_array_overflow_signalled():
+    # one overflowing positive element fails the whole array, as in ml
+    with pytest.raises(OverflowError):
+        ml_array(0.3, [-1.0, 1.0, 50.0])
+    with pytest.raises(OverflowError):
+        ml_array(0.3, [-1.0, 8.0])  # below the asymptotic cut, 8**(1/0.3) > 709
+    with pytest.raises(OverflowError):
+        ml_array(0.5, [-3.0, 1.0e6])
+
+
+def test_ml_array_memory_bounded():
+    # the kernel integral takes ~1200 quadrature nodes per point; they are
+    # held a block at a time, so only arrays of a few doubles per point
+    # grow with the point count
+    def peak(n):
+        z = -np.linspace(5.0, 35.0, n)
+        tracemalloc.start()
+        try:
+            ml_array(0.5, z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(100_000)
+    assert large <= 8 * 2**20
+    assert large - small <= 10 * 8 * 90_000
