@@ -2,14 +2,19 @@
 
 Three routes with zero initial data (the RL and Caputo forms coincide):
 
-* picard_solve -- fixed-point iteration on the equivalent Volterra equation
-  c = I^alpha(f - A c), window by window: each window is short enough for the
-  iteration to contract in the plain sup norm, with the earlier windows'
-  solution as a fixed history load;
-* l1_solve -- fully implicit marching with the L1 history weights, the
-  independent cross-check discretization;
+* l1_solve -- the L1 scheme for D^alpha, of order 2 - alpha;
+* picard_solve -- the fixed point of the equivalent Volterra equation
+  c = I^alpha(f - A c), with I^alpha by product integration against
+  piecewise-linear data (the fractional trapezoidal rule, Garrappa 2015,
+  Math. Comput. Simul. 110:96), of order 2; an independent discretization,
+  verified by one application of the Volterra operator;
 * variation_of_constants -- product-integration evaluation of the scalar
   constant-coefficient solution, the oracle for both.
+
+The orders hold for smooth solutions; on a uniform grid the t^alpha start of
+a solution with f(0) != 0 lowers both.  The two solvers share one implicit
+march, _implicit_march, whose steps solve (sigma I + A(t_m)) c_m = f(t_m) +
+history in O(N M log^2 M).
 
 A solve is sequential in time; distinct solves share no state and may run
 concurrently.
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fraccalc import (
     GridSeries,
@@ -48,17 +52,14 @@ __all__ = [
     "variation_of_constants",
 ]
 
-# l1_solve marches blocks of at most this many nodes directly; the time hardly
-# depends on it between 32 and 256
-_L1_LEAF = 64
+# _implicit_march solves blocks of at most this many nodes directly; the time
+# hardly depends on it between 32 and 256
+_LEAF = 64
 
 
 class PicardDivergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance."""
-
-    def __init__(self, message: str, node: int = -1):
-        super().__init__(message)
-        self.node = node
+    """picard_solve's solution failed its fixed-point residual check (or is
+    not finite), so it is not returned."""
 
 
 class SingularStepError(RuntimeError):
@@ -101,7 +102,8 @@ class FractionalIVP:
             raise ValueError("A and f must be sampled at every grid node")
         if A.shape[1] != A.shape[2] or A.shape[1] != f.shape[1]:
             raise ValueError(f"incompatible shapes A {A.shape}, f {f.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(f))):
+        # min and max propagate NaN and reach +-inf without an (M+1) N^2 mask
+        if A.size and not all(math.isfinite(x) for x in (A.min(), A.max(), f.min(), f.max())):
             raise ValueError("A and f must be finite")
         A = A.view()
         f = f.view()
@@ -117,15 +119,12 @@ class FractionalIVP:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """max_iters bounds the iterations of each window; tol bounds the sup
-    difference, and the final residual, relative to max(1, ||c||)."""
+    """tol bounds the fixed-point residual of picard_solve's solution relative
+    to max(1, ||c||)."""
 
-    max_iters: int = 200
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
 
@@ -156,16 +155,15 @@ class ModalTrajectory:
 
 @dataclass(frozen=True)
 class PicardLog:
-    """Iterations summed over the windows, the window count and the final
-    fixed-point residual max_m ||c_m - I^alpha(f - A c)_m||_2."""
+    """Applications of the Volterra operator I^alpha(f - A .) (one: the
+    residual check) and the fixed-point residual max_m ||c_m - I^alpha(f - A c)_m||_2."""
 
     iterations: int
-    windows: int
     residual: float
 
 
 def _sup_norm(values: np.ndarray) -> float:
-    """max_m ||values_m||_2, the plain sup norm the windows contract in.
+    """max_m ||values_m||_2, the norm of the residual check.
 
     The values are scaled by their largest entry before squaring, so every
     finite trajectory has a finite norm; non-finite values give inf or nan.
@@ -182,14 +180,76 @@ def max_operator_norm(ivp: FractionalIVP) -> float:
     return float(np.linalg.norm(ivp.A, 2, axis=(1, 2)).max())
 
 
-def _window_length(W: np.ndarray, s: float, norm: float) -> int:
-    """Largest l with s norm sum_{r<l} W[r] <= 1/2, at most len(W) - 1.
+def _implicit_march(
+    ivp: FractionalIVP, sigma: float, kernel: np.ndarray, far: np.ndarray, volterra: bool
+) -> np.ndarray:
+    """c with c_0 = 0 and, for m = 1..M,
 
-    s sum_{r<l} W[r] is the sup-norm Lipschitz constant of the discrete
-    I^alpha (weights s W) over l steps, so a window of l steps contracts by
-    1/2 when max||A|| = norm.
+    (sigma I + A_m) c_m = f_m + hist_m,  hist_m = far_m + sum_{r=1}^{m-1} kernel[r] h_{m-r},
+
+    where h = c, or h = f - A c when volterra.  The latter is read off the step
+    equation as h_m = sigma c_m - hist_m, with no product by A.  far (M+1, N)
+    holds any history known beforehand and is overwritten.
+
+    The history is split as in Hairer, Lubich & Schlichte (1985, SIAM J. Sci.
+    Stat. Comput. 6:532): nodes lo..hi-1 are solved by solving the left half,
+    adding its whole contribution to the right half's far history with one FFT
+    Toeplitz product (_conv_tail), then solving the right half; blocks of at
+    most _LEAF nodes march directly with the local sum.  The cost is
+    O(N M log^2 M) instead of O(N M^2), and the result is the direct sum's up
+    to rounding.  Diagonal systems are solved elementwise and every column is
+    transformed alone, so decoupled modes stay exactly decoupled
+    (mode-for-mode identical across different N).
     """
-    return min(int(np.searchsorted(s * norm * np.cumsum(W), 0.5, side="right")), len(W) - 1)
+    M, N = ivp.grid.M, ivp.N
+    # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
+    # counting them allocates nothing the size of A
+    diag_only = np.count_nonzero(ivp.A) == np.count_nonzero(np.diagonal(ivp.A, axis1=1, axis2=2))
+    c = np.zeros((M + 1, N))
+    h = np.zeros((M + 1, N)) if volterra else c
+    eye = np.eye(N)
+
+    def march(lo: int, hi: int) -> None:
+        for m in range(lo, hi):
+            # nodes lo..m-1 here, the earlier ones in far
+            hist = far[m] + kernel[1 : m - lo + 1] @ h[m - 1 : lo - 1 : -1]
+            rhs = ivp.f[m] + hist
+            if diag_only:
+                diag = np.diagonal(ivp.A[m])
+                denom = sigma + diag
+                if np.any(denom == 0.0):
+                    k = int(np.argmax(denom == 0.0))
+                    raise SingularStepError(
+                        f"singular implicit step at node {m}: eigenvalue ~ -sigma = {-sigma}",
+                        node=m,
+                        eigenvalue_estimate=float(diag[k]),
+                    )
+                c[m] = rhs / denom
+            else:
+                try:
+                    c[m] = np.linalg.solve(sigma * eye + ivp.A[m], rhs)
+                except np.linalg.LinAlgError:
+                    eigs = np.linalg.eigvals(ivp.A[m])
+                    worst = eigs[np.argmin(np.abs(eigs + sigma))]
+                    raise SingularStepError(
+                        f"singular implicit step at node {m}: A eigenvalue {worst} ~ -sigma = {-sigma}",
+                        node=m,
+                        eigenvalue_estimate=float(np.real(worst)),
+                    ) from None
+            if volterra:
+                h[m] = sigma * c[m] - hist
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _LEAF:
+            march(lo, hi)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        far[mid:hi] += _conv_tail(kernel, h[lo:mid], hi - mid)
+        solve(mid, hi)
+
+    solve(1, M + 1)
+    return c
 
 
 def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
@@ -199,128 +259,50 @@ def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
 
 
 def picard_solve(ivp: FractionalIVP, cfg: PicardConfig = PicardConfig()) -> tuple[ModalTrajectory, PicardLog]:
-    """Fixed-point iteration c <- I^alpha(f - A c), window by window.
+    """The fixed point of c = I^alpha(f - A c), with I^alpha by product
+    integration: order 2 for smooth solutions, independent of the L1 scheme.
 
-    Windows are as long as _window_length allows, so each contracts by 1/2 in
-    the plain sup norm while the earlier nodes, already solved, enter as a
-    fixed history load.  Each window iterates from the last solved value until
-    the sup difference is <= tol max(1, ||c_win||), at most max_iters times; the
-    solution is returned only if its fixed-point residual over the whole grid
-    passes the same test.  Raises PicardDivergenceError when not even one step
-    contracts, on non-finite values, when max_iters is exhausted or when the
-    residual check fails.
+    With g = f - A c, the discrete I^alpha reads c_m = s (a0_m g_0 +
+    sum_{r=0}^{m-1} W[r] g_{m-r}), s = dt^alpha / Gamma(alpha+2) and (a0, W)
+    from _pl_weights, W[0] = 1.  The fixed point, the limit Picard iteration
+    would reach, solves the implicit steps
+
+    (sigma I + A_m) c_m = f_m + a0_m f_0 + sum_{r=1}^{m-1} W[r] g_{m-r},  sigma = 1/s,
+
+    which _implicit_march solves directly for any step size.  The solution is
+    returned only if its fixed-point residual, by one application of
+    picard_apply, is <= tol max(1, ||c||); PicardDivergenceError otherwise.
+    SingularStepError names a node where sigma I + A_m is singular.  The
+    residual check costs O(N M^2), the march O(N M log^2 M).
     """
-    alpha, M = ivp.alpha, ivp.grid.M
-    a0, W = _pl_weights(alpha, M)
-    s = ivp.grid.dt**alpha / math.gamma(alpha + 2.0)
-    norm = max_operator_norm(ivp)
-    L = _window_length(W, s, norm)
-    if L == 0:
-        raise PicardDivergenceError(
-            f"no step contracts: dt^alpha max||A|| / Gamma(alpha+2) = {s * norm:.4g} > 1/2; refine the grid"
-        )
-    c = np.zeros_like(ivp.f)
-    g = ivp.f.copy()  # f - A c, final on the nodes already solved
-    iterations = 0
-    for m0 in range(0, M, L):
-        m1 = min(m0 + L, M)
-        win = slice(m0 + 1, m1 + 1)
-        # a0 and the earlier nodes 1..m0, as in _fractional_integral_values
-        hist = a0[win, None] * g[0] + sliding_window_view(W[1:m1], m0) @ g[m0:0:-1]
-        cw = np.broadcast_to(c[m0], (m1 - m0, ivp.N))  # start from the last solved node
-        for it in range(1, cfg.max_iters + 1):
-            gw = ivp.f[win] - np.einsum("mij,mj->mi", ivp.A[win], cw)
-            nxt = s * (_causal_conv(W[: m1 - m0 + 1], gw) + hist)
-            diff = _sup_norm(nxt - cw)
-            if not math.isfinite(diff):
-                raise PicardDivergenceError(f"non-finite values at nodes {m0 + 1}..{m1}", node=m0 + 1)
-            cw = nxt
-            if diff <= cfg.tol * max(1.0, _sup_norm(cw)):
-                break
-        else:
-            raise PicardDivergenceError(
-                f"window at nodes {m0 + 1}..{m1} did not converge within {cfg.max_iters} iterations"
-                f" (last difference {diff:.4g})",
-                node=m0 + 1,
-            )
-        iterations += it
-        c[win] = cw
-        g[win] = ivp.f[win] - np.einsum("mij,mj->mi", ivp.A[win], cw)
+    alpha = ivp.alpha
+    a0, W = _pl_weights(alpha, ivp.grid.M)
+    sigma = math.gamma(alpha + 2.0) / ivp.grid.dt**alpha
+    # node 0 enters through a0 alone, with g_0 = f_0 since c_0 = 0
+    c = _implicit_march(ivp, sigma, W, a0[:, None] * ivp.f[0], volterra=True)
     residual = _sup_norm(c - picard_apply(ivp, c))
-    if residual > cfg.tol * max(1.0, _sup_norm(c)):
+    if not residual <= cfg.tol * max(1.0, _sup_norm(c)):  # a NaN fails too
         raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
-    return ModalTrajectory(ivp.grid, c, alpha, "picard"), PicardLog(iterations, -(-M // L), residual)
+    return ModalTrajectory(ivp.grid, c, alpha, "picard"), PicardLog(1, residual)
 
 
 def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     """Fully implicit L1 marching: (w0 I + A(t_m)) c_m = f(t_m) + history.
 
+    The L1 scheme has order 2 - alpha for smooth solutions.
     w0 = dt^(-alpha)/Gamma(2-alpha); A and f are taken at the right endpoint.
-    The history w0 sum_{j=1}^{m-1} d_j c_{m-j} is split as in Hairer, Lubich &
-    Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532): nodes lo..hi-1 are
-    solved by solving the left half, adding its whole contribution to the right
-    half's far history with one FFT Toeplitz product (_conv_tail), then solving
-    the right half; blocks of at most _L1_LEAF nodes march directly with the
-    local sum.  The cost is O(N M log^2 M) instead of O(N M^2), and the result
-    is the direct sum's up to rounding.  Diagonal systems are solved
-    elementwise and every column is transformed alone, so decoupled modes stay
-    exactly decoupled (mode-for-mode identical across different N).
+    The history w0 sum_{j=1}^{m-1} d_j c_{m-j}, d_j = b_{j-1} - b_j with the
+    L1 weights b, is split by _implicit_march in O(N M log^2 M).
+    SingularStepError names a node where w0 I + A_m is singular.
     """
     M = ivp.grid.M
     if M < 2:
         raise ValueError("L1 marching needs at least M=2 steps")
-    alpha = ivp.alpha
-    N = ivp.N
-    b, w0 = _l1_weights(alpha, M, ivp.grid.dt)
-    # d[j] = b_{j-1} - b_j > 0 for j = 1..M-1, the weight of c_{m-j}; d[0] unused
-    d = np.concatenate([[0.0], b[:-1] - b[1:]])
-
-    # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
-    # counting them allocates nothing the size of A
-    diag_only = np.count_nonzero(ivp.A) == np.count_nonzero(np.diagonal(ivp.A, axis1=1, axis2=2))
-    c = np.zeros((M + 1, N))
-    far = np.zeros((M + 1, N))  # history from nodes before the current block
-    eye = np.eye(N)
-
-    def march(lo: int, hi: int) -> None:
-        for m in range(lo, hi):
-            # sum_{j=1}^{m-1} d_j c_{m-j}: nodes lo..m-1 here, the rest in far
-            hist = far[m] + d[1 : m - lo + 1] @ c[m - 1 : lo - 1 : -1]
-            rhs = ivp.f[m] + w0 * hist
-            if diag_only:
-                diag = np.diagonal(ivp.A[m])
-                denom = w0 + diag
-                if np.any(denom == 0.0):
-                    k = int(np.argmax(denom == 0.0))
-                    raise SingularStepError(
-                        f"singular implicit step at node {m}: eigenvalue ~ {-w0}",
-                        node=m,
-                        eigenvalue_estimate=float(diag[k]),
-                    )
-                c[m] = rhs / denom
-            else:
-                try:
-                    c[m] = np.linalg.solve(w0 * eye + ivp.A[m], rhs)
-                except np.linalg.LinAlgError:
-                    eigs = np.linalg.eigvals(ivp.A[m])
-                    worst = eigs[np.argmin(np.abs(eigs + w0))]
-                    raise SingularStepError(
-                        f"singular implicit step at node {m}: A eigenvalue {worst} ~ -w0 = {-w0}",
-                        node=m,
-                        eigenvalue_estimate=float(np.real(worst)),
-                    ) from None
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= _L1_LEAF:
-            march(lo, hi)
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        far[mid:hi] += _conv_tail(d, c[lo:mid], hi - mid)
-        solve(mid, hi)
-
-    solve(1, M + 1)
-    return ModalTrajectory(ivp.grid, c, alpha, "l1")
+    b, w0 = _l1_weights(ivp.alpha, M, ivp.grid.dt)
+    # w0 d[j] weighs c_{m-j} for j = 1..M-1; d[0] unused
+    kernel = w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
+    c = _implicit_march(ivp, w0, kernel, np.zeros((M + 1, ivp.N)), volterra=False)
+    return ModalTrajectory(ivp.grid, c, ivp.alpha, "l1")
 
 
 def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSeries:

@@ -503,21 +503,40 @@ def _conv_tail(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(spec, n=L, axis=0)[k:]
 
 
+# _pl_weights sums its series from r = 2 on, where the terms fall by >= 2 each
+# and 64 of them reach 2^-62 ~ 2e-19 of the sum
+_PL_TERMS = 64
+
+
 def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights for I^order against piecewise-linear data on a uniform grid.
 
     Returns (a0, W): node-0 coefficients a0[m] and the convolution kernel W[r]
     (r = m - j) covering interior nodes, with W[0] the self weight.  The
     quadrature is exact for piecewise-linear integrands.
+
+    With b = order + 1, W[r] = (r+1)^b - 2 r^b + (r-1)^b and
+    a0[m] = (m-1)^b - m^order (m - b) are ~r^(b-2) made of terms ~r^b, so these
+    closed forms lose ~2 log10(r) digits (5e-10 relative at r = 1000).  From
+    r = 2 on they are summed instead as their binomial series in x = 1/r,
+    m^b sum_{k>=2} C(b,k) (-x)^k and 2 r^b sum_{k>=1} C(b,2k) x^(2k), whose
+    terms are all >= 0 for b in [1, 2]; at r = 1 they reduce to a0 = order
+    and W = 2 (2^order - 1).
     """
-    m = np.arange(M + 1, dtype=float)
     op1 = order + 1.0
+    coef = np.zeros(_PL_TERMS)  # C(b,k) (-1)^k
+    coef[2] = 0.5 * op1 * order
+    for k in range(2, _PL_TERMS - 1):
+        coef[k + 1] = coef[k] * (k - op1) / (k + 1.0)
+    r = np.arange(2, M + 1, dtype=float)
     a0 = np.zeros(M + 1)
-    a0[1:] = (m[1:] - 1.0) ** op1 - m[1:] ** order * (m[1:] - order - 1.0)
     W = np.zeros(M + 1)
     W[0] = 1.0
-    r = m[1:]
-    W[1:] = (r + 1.0) ** op1 - 2.0 * r**op1 + (r - 1.0) ** op1
+    a0[1] = order
+    W[1] = 2.0 * math.expm1(order * math.log(2.0))
+    a0[2:] = r**op1 * np.polynomial.polynomial.polyval(1.0 / r, coef)
+    coef[1::2] = 0.0
+    W[2:] = 2.0 * r**op1 * np.polynomial.polynomial.polyval(1.0 / r, coef)
     return a0, W
 
 

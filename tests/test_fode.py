@@ -3,18 +3,18 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import l1_march, ml_reference
+from oracles import l1_march, ml_reference, pi_march
 
-from fracspec.fraccalc import GridSeries, TimeGrid, _pl_weights, ml, rl_integral
+from fracspec.fraccalc import GridSeries, TimeGrid, ml, rl_integral
 from fracspec.fode import (
     FractionalIVP,
     PicardConfig,
     PicardDivergenceError,
     SingularStepError,
-    _window_length,
     l1_solve,
     max_operator_norm,
     picard_apply,
@@ -40,19 +40,58 @@ def scalar_exact(g, lam=1.0, alpha=0.5, q=1.0):
     return np.array([(q / lam) * (1.0 - ml(alpha, -lam * t**alpha)) for t in g.nodes])
 
 
-def window_factor(g, alpha, norm, steps):
-    """Sup-norm contraction factor of Picard on `steps` steps, in closed form:
-    the product-integration weights of I^alpha sum to steps^(alpha+1) -
-    (steps-1)^(alpha+1) times dt^alpha / Gamma(alpha+2)."""
-    if steps == 0:
-        return 0.0
-    total = steps ** (alpha + 1.0) - (steps - 1.0) ** (alpha + 1.0)
-    return g.dt**alpha / math.gamma(alpha + 2.0) * norm * total
+def dense_system():
+    """A dense non-symmetric time-dependent A on M = 1000 nodes, T = 2,
+    alpha = 0.35: the history splitting recurses several levels deep."""
+    M, N = 1000, 5
+    g = TimeGrid(2.0, M)
+    rng = np.random.default_rng(11)
+    B0, B1 = rng.standard_normal((2, N, N))
+    A = 3.0 * np.eye(N) + B0 + np.cos(3.0 * g.nodes)[:, None, None] * B1
+    f = np.cos(np.outer(g.nodes, rng.uniform(0.5, 4.0, N))) + rng.standard_normal(N)
+    return FractionalIVP(0.35, g, A, f)
 
 
-def window_length(g, alpha, norm):
-    """The code's window length for the grid g and max||A|| = norm."""
-    return _window_length(_pl_weights(alpha, g.M)[1], g.dt**alpha / math.gamma(alpha + 2.0), norm)
+def node_rel_err(got, ref):
+    """max over nodes 1..M of ||got_m - ref_m|| / ||ref_m||."""
+    return (np.linalg.norm(got - ref, axis=1)[1:] / np.linalg.norm(ref, axis=1)[1:]).max()
+
+
+# The diagonal shift sigma of each implicit step, sigma I + A_m: w0 for the
+# L1 scheme, Gamma(alpha+2)/dt^alpha for product integration
+def l1_sigma(g, alpha):
+    return g.dt ** (-alpha) / math.gamma(2.0 - alpha)
+
+
+def pi_sigma(g, alpha):
+    return math.gamma(alpha + 2.0) / g.dt**alpha
+
+
+def check_singular_step(solve, sigma):
+    g = TimeGrid(1.0, 4)
+    A = np.full((5, 1, 1), -sigma(g, 0.5))  # eigenvalue exactly -sigma
+    ivp = FractionalIVP(0.5, g, A, np.ones((5, 1)))
+    with pytest.raises(SingularStepError) as exc:
+        solve(ivp)
+    assert exc.value.node == 1
+
+
+def check_singular_step_at_late_node(solve, sigma, dense):
+    # the step matrix sigma I + A is exactly singular at node 700 only: the
+    # error names that node on the diagonal and on the dense path
+    M, N, bad = 1000, 4, 700
+    g = TimeGrid(1.0, M)
+    s = sigma(g, 0.5)
+    A = np.tile(np.diag([1.0, 2.0, 3.0, 4.0]), (M + 1, 1, 1))
+    if dense:
+        A += 0.1 * np.random.default_rng(5).standard_normal((M + 1, N, N))
+    A[bad, 1, :] = 0.0  # row 1 of sigma I + A vanishes exactly
+    A[bad, 1, 1] = -s
+    ivp = FractionalIVP(0.5, g, A, np.ones((M + 1, N)))
+    with pytest.raises(SingularStepError) as exc:
+        solve(ivp)
+    assert exc.value.node == bad
+    assert exc.value.eigenvalue_estimate == pytest.approx(-s, rel=1e-9)
 
 
 class TestOperatorNorm:
@@ -69,9 +108,13 @@ class TestOperatorNorm:
         M, N = 4, 3
         ivp = FractionalIVP(0.5, TimeGrid(1.0, M), np.zeros((M + 1, N, N)), np.zeros((M + 1, N)))
         assert max_operator_norm(ivp) == 0.0
-        # no feedback: one window spans the whole horizon
-        _, log = picard_solve(ivp)
-        assert log.windows == 1
+
+    def test_diagonal_matrix_norm(self):
+        A = np.zeros((5, 2, 2))
+        A[:, 0, 0] = math.pi**2
+        A[:, 1, 1] = 4.0 * math.pi**2
+        ivp = FractionalIVP(0.25, TimeGrid(1.0, 4), A, np.zeros((5, 2)))
+        assert max_operator_norm(ivp) == pytest.approx(4.0 * math.pi**2, rel=1e-7)
 
 
 class TestFractionalIVP:
@@ -99,36 +142,17 @@ class TestFractionalIVP:
         assert np.shares_memory(ivp.A, band) and not ivp.A.flags.writeable
         assert not ivp.f.flags.writeable
         assert peak < A.size * 8 / 4
+        # regression: the finite check built an (M+1) N^2 mask, 8 MiB here
+        assert peak < 2**20
 
-
-class TestContractionBound:
-    def test_arithmetic(self):
-        # the window is the largest one with factor <= 1/2
-        g = TimeGrid(1.0, 64)
-        for alpha in (0.3, 0.5, 0.8):
-            L = window_length(g, alpha, 2.0)
-            assert 0 < L < g.M
-            assert window_factor(g, alpha, 2.0, L) <= 0.5 < window_factor(g, alpha, 2.0, L + 1)
-
-    def test_solve_uses_largest_contracting_window(self):
-        ivp = scalar_ivp(T=1.0, M=256, lam=3.3)
-        L = max(l for l in range(ivp.grid.M + 1) if window_factor(ivp.grid, 0.5, 3.3, l) <= 0.5)
-        _, log = picard_solve(ivp)
-        assert log.windows == math.ceil(ivp.grid.M / L)
-
-    def test_diagonal_matrix_norm(self):
-        # A = diag(pi^2, 4 pi^2), alpha = 1/4: one step of dt = 1/4 has
-        # factor 0.62 * 4 pi^2 > 1/2, so no window contracts
-        g = TimeGrid(1.0, 4)
-        A = np.zeros((5, 2, 2))
-        A[:, 0, 0] = math.pi**2
-        A[:, 1, 1] = 4.0 * math.pi**2
-        ivp = FractionalIVP(0.25, g, A, np.zeros((5, 2)))
-        assert max_operator_norm(ivp) == pytest.approx(4.0 * math.pi**2, rel=1e-7)
-        assert window_length(g, 0.25, max_operator_norm(ivp)) == 0
-        assert window_factor(g, 0.25, 4.0 * math.pi**2, 1) > 0.5
-        with pytest.raises(PicardDivergenceError):
-            picard_solve(ivp)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["A", "f"])
+    def test_rejects_non_finite(self, bad, where):
+        M = 6
+        A, f = np.ones((M + 1, 2, 2)), np.ones((M + 1, 2))
+        (A if where == "A" else f)[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FractionalIVP(0.5, TimeGrid(1.0, M), A, f)
 
 
 class TestPicard:
@@ -146,21 +170,14 @@ class TestPicard:
         assert abs(1.0 - ml(0.5, -1.0) - 0.5724164238) < 1e-9
 
     def test_no_feedback_exact(self):
-        # A = 0: the solution is I^alpha f after one productive iteration
+        # A = 0: the solution is I^alpha f, up to the rounding of the march's
+        # history sums
         g = TimeGrid(1.0, 128)
         ivp = FractionalIVP(0.5, g, np.zeros((129, 1, 1)), np.ones((129, 1)))
         traj, log = picard_solve(ivp)
         expected = rl_integral(GridSeries(g, np.ones(129)), 0.5).values
-        assert np.array_equal(traj.values[:, 0], expected)
-        assert log.iterations == 2
-
-    def test_windows_contract_by_half(self):
-        # a window contracting by 1/2 meets tol within ceil(log2(1/tol)) + 2
-        # iterations; max_iters counts per window
-        cfg = PicardConfig(max_iters=math.ceil(math.log2(1.0 / PicardConfig().tol)) + 2)
-        for lam in (1.0, math.pi**2):
-            _, log = picard_solve(scalar_ivp(T=1.0, lam=lam), cfg)
-            assert log.windows > 1
+        assert np.max(np.abs(traj.values[1:, 0] / expected[1:] - 1.0)) <= 1e-14
+        assert log.iterations == 1
 
     def test_fixed_point_consistency(self):
         ivp = scalar_ivp(T=1.0)
@@ -177,25 +194,43 @@ class TestPicard:
         exact = (1.0 - ml_reference(0.5, 1.0, -lam)) / lam
         assert traj.values[-1, 0] == pytest.approx(exact, rel=1e-3)
 
-    def test_no_contracting_window_raises(self):
-        # regression: with diag(k^2 pi^2), k = 1..4, one step of 1/512 has
-        # factor 5.3 and the solve returned after 1 iteration with O(1) error
+    def test_stiff_galerkin_system(self):
+        # regression: diag(k^2 pi^2), k = 1..4, the 1-D Galerkin system at
+        # M = 512, raised (before that, it returned O(1) errors as converged).
+        # c_k(1) = (1 - E_0.5(-k^2 pi^2)) / (k^2 pi^2), with E_0.5(-x) =
+        # exp(x^2) erfc(x) from mpmath; the error is the discretization's.
         g = TimeGrid(1.0, 512)
-        A = np.broadcast_to(np.diag([(k * math.pi) ** 2 for k in range(1, 5)]), (513, 4, 4))
+        lam = np.array([(k * math.pi) ** 2 for k in range(1, 5)])
+        A = np.broadcast_to(np.diag(lam), (513, 4, 4))
         ivp = FractionalIVP(0.5, g, A, np.ones((513, 4)))
-        with pytest.raises(PicardDivergenceError):
-            picard_solve(ivp)
+        got = picard_solve(ivp)[0].values
+        with mpmath.workdps(60):
+            e_half = [float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(mpmath.mpf(x))) for x in lam]
+        exact = (1.0 - np.array(e_half)) / lam
+        assert np.max(np.abs(got[-1] / exact - 1.0)) <= 1e-4
+        ref = pi_march(0.5, 1.0, np.asarray(A), np.ones((513, 4)))
+        assert np.max(np.abs(got[1:] / ref[1:] - 1.0)) <= 1e-12
+
+    def test_matches_plain_march(self):
+        # the fixed point is the product-integration march of an independent
+        # O(M^2) oracle with its own weights, node by node
+        ivp = dense_system()
+        got = picard_solve(ivp)[0].values
+        ref = pi_march(ivp.alpha, ivp.grid.T, np.asarray(ivp.A), np.asarray(ivp.f))
+        assert node_rel_err(got, ref) <= 1e-12
 
     def test_divergence_reported(self):
-        # a stiff system on a coarse grid: not even one step contracts
-        g = TimeGrid(1.0, 64)
-        A = np.full((65, 1, 1), 2000.0)
-        ivp = FractionalIVP(0.5, g, A, np.ones((65, 1)))
+        # the fixed-point residual check is the verification: a tolerance
+        # below rounding fails it
         with pytest.raises(PicardDivergenceError):
-            picard_solve(ivp, PicardConfig(max_iters=30))
-        # a contracting window given too few iterations
-        with pytest.raises(PicardDivergenceError):
-            picard_solve(scalar_ivp(T=1.0), PicardConfig(max_iters=2))
+            picard_solve(scalar_ivp(T=1.0), PicardConfig(tol=1e-300))
+
+    def test_singular_step_reported(self):
+        check_singular_step(picard_solve, pi_sigma)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_singular_step_at_late_node(self, dense):
+        check_singular_step_at_late_node(picard_solve, pi_sigma, dense)
 
     def test_huge_forcing_does_not_overflow(self):
         # regression: the sup norm squared the entries, so f = 1e200 raised
@@ -210,8 +245,6 @@ class TestPicard:
         np.testing.assert_allclose(huge.values, 1e200 * unit.values, rtol=1e-12, atol=0.0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PicardConfig(max_iters=0)
         with pytest.raises(ValueError):
             PicardConfig(tol=2.0)
 
@@ -236,14 +269,7 @@ class TestL1Solve:
         assert np.max(np.abs(l1.values[:, 0] - (1.0 - np.exp(-g.nodes)))) <= 1e-2
 
     def test_singular_step_reported(self):
-        g = TimeGrid(1.0, 4)
-        dt = g.dt
-        w0 = dt ** (-0.5) / math.gamma(1.5)
-        A = np.full((5, 1, 1), -w0)  # eigenvalue exactly -w0
-        ivp = FractionalIVP(0.5, g, A, np.ones((5, 1)))
-        with pytest.raises(SingularStepError) as exc:
-            l1_solve(ivp)
-        assert exc.value.node == 1
+        check_singular_step(l1_solve, l1_sigma)
 
     def test_mode_decoupling_is_exact(self):
         # diagonal system: mode columns identical across different N, also at
@@ -262,38 +288,16 @@ class TestL1Solve:
             assert np.all(solves[7][:, 2] == 0.0)
 
     def test_matches_plain_march(self):
-        # dense non-symmetric time-dependent A on M = 1000 nodes: the history
-        # splitting recurses several levels deep and must reproduce the
-        # direct O(M^2) march node by node
-        M, N = 1000, 5
-        g = TimeGrid(2.0, M)
-        rng = np.random.default_rng(11)
-        B0, B1 = rng.standard_normal((2, N, N))
-        A = 3.0 * np.eye(N) + B0 + np.cos(3.0 * g.nodes)[:, None, None] * B1
-        f = np.cos(np.outer(g.nodes, rng.uniform(0.5, 4.0, N))) + rng.standard_normal(N)
-        ivp = FractionalIVP(0.35, g, A, f)
+        # the history splitting must reproduce the direct O(M^2) march node
+        # by node
+        ivp = dense_system()
         got = l1_solve(ivp).values
-        ref = l1_march(0.35, 2.0, A, f)
-        err = np.linalg.norm(got - ref, axis=1)[1:] / np.linalg.norm(ref, axis=1)[1:]
-        assert err.max() <= 1e-12
+        ref = l1_march(ivp.alpha, ivp.grid.T, np.asarray(ivp.A), np.asarray(ivp.f))
+        assert node_rel_err(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_singular_step_at_late_node(self, dense):
-        # the step matrix w0 I + A is exactly singular at node 700 only: the
-        # error names that node on the diagonal and on the dense path
-        M, N, bad = 1000, 4, 700
-        g = TimeGrid(1.0, M)
-        w0 = g.dt ** (-0.5) / math.gamma(1.5)
-        A = np.tile(np.diag([1.0, 2.0, 3.0, 4.0]), (M + 1, 1, 1))
-        if dense:
-            A += 0.1 * np.random.default_rng(5).standard_normal((M + 1, N, N))
-        A[bad, 1, :] = 0.0  # row 1 of w0 I + A vanishes exactly
-        A[bad, 1, 1] = -w0
-        ivp = FractionalIVP(0.5, g, A, np.ones((M + 1, N)))
-        with pytest.raises(SingularStepError) as exc:
-            l1_solve(ivp)
-        assert exc.value.node == bad
-        assert exc.value.eigenvalue_estimate == pytest.approx(-w0, rel=1e-9)
+        check_singular_step_at_late_node(l1_solve, l1_sigma, dense)
 
     def test_dense_solve_allocates_no_copy_of_a(self):
         # regression: the diagonal test built A * eye, a full-size copy of A

@@ -220,6 +220,24 @@ class TestCausalConv:
         assert got.shape == (n, 3)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("order", [0.05, 0.35, 0.9, 1.0])
+    def test_pl_weights_accurate(self, order):
+        # regression: the closed-form second differences cancel down from
+        # ~r^(order+1) to ~r^(order-1) and lost 5e-10 relative at r = 1000;
+        # here the closed forms are evaluated in 50-digit arithmetic
+        import mpmath
+
+        rs = [1, 2, 3, 4, 7, 100, 999, 4999]
+        a0, W = _pl_weights(order, 5000)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(order), mpmath.mpf(order) + 1
+            for r in rs:
+                x = mpmath.mpf(r)
+                w_ref = (x + 1) ** b - 2 * x**b + (x - 1) ** b
+                a0_ref = (x - 1) ** b - x**a * (x - b)
+                assert abs(W[r] / float(w_ref) - 1.0) <= 1e-14
+                assert abs(a0[r] / float(a0_ref) - 1.0) <= 1e-14
+
 
 class TestConvolve:
     def test_l_kernel_is_fractional_integral(self):
