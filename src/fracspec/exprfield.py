@@ -6,12 +6,20 @@ functions sin, cos, exp, sqrt, abs.  Problems are specified declaratively in
 text files using this grammar (given in the _Parser docstring); parsed trees
 are immutable and evaluation is pure, so fields may be shared freely across
 threads.
+
+evaluate compiles a tree into nested closures on first use and keeps the
+compiled form in a bounded LRU keyed by the tree's value (each node caches
+its own hash, so the key costs no tree walk).  The closures apply the same
+numpy operations in the same order as a walk of the tree would, with the
+domain checks (division by zero, sqrt of a negative, non-finite power or
+function values, unbound variables) on every node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,26 +64,54 @@ class ExprDomainError(ArithmeticError):
 
 
 class Expr:
-    """Abstract syntax tree node; subclasses are frozen dataclasses."""
+    """Abstract syntax tree node; subclasses are frozen dataclasses.
+
+    Each node caches its hash in its instance dict on first use, so hashing
+    a tree (as the caches keyed by value do on every call) costs one lookup
+    after the first walk.  The cached hash is no field: == and repr are the
+    dataclass ones, and pickling leaves it out (str hashes differ between
+    processes).
+    """
 
     __slots__ = ()
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
+
+def _hash_once(cls):
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = field_hash(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Num(Expr):
     value: float
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Neg(Expr):
     child: Expr
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # one of + - * / ^
@@ -83,6 +119,7 @@ class BinOp(Expr):
     right: Expr
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Call(Expr):
     fn: str
@@ -269,53 +306,98 @@ _CALLS = {
 }
 
 
-def _eval(e: Expr, env: dict):
+def _finite(v) -> bool:
+    return bool(np.isfinite(v).all()) if isinstance(v, np.ndarray) else math.isfinite(v)
+
+
+def _build(e: Expr):
+    """A closure (t, x, y) -> value of e, applying the numpy operations of the tree.
+
+    Children are evaluated left to right before their parent's domain check,
+    so the first failing subexpression in that order is the one named.
+    Checks on scalar values use math.isfinite and plain comparisons.
+    """
     if isinstance(e, Num):
-        return e.value
+        # equal trees share one compiled form, and Num(-0.0) == Num(0) ==
+        # Num(0.0): + 0.0 gives each equality class one value, 0.0
+        value = e.value + 0.0
+        return lambda t, x, y: value
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprDomainError(f"variable {e.name!r} has no value here", e) from None
+        if e.name == "t":
+            return lambda t, x, y: t
+        if e.name == "x":
+            return lambda t, x, y: x
+        if e.name == "y":
+            return lambda t, x, y: y
+
+        def missing(t, x, y):
+            raise ExprDomainError(f"variable {e.name!r} has no value here", e)
+
+        return missing
     if isinstance(e, Neg):
-        return -_eval(e.child, env)
+        f = _build(e.child)
+        return lambda t, x, y: -f(t, x, y)
     if isinstance(e, BinOp):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
+        f, g = _build(e.left), _build(e.right)
         if e.op == "+":
-            return a + b
+            return lambda t, x, y: f(t, x, y) + g(t, x, y)
         if e.op == "-":
-            return a - b
+            return lambda t, x, y: f(t, x, y) - g(t, x, y)
         if e.op == "*":
-            return a * b
+            return lambda t, x, y: f(t, x, y) * g(t, x, y)
         if e.op == "/":
-            if np.any(b == 0.0):
-                raise ExprDomainError("division by zero", e)
-            return a / b
-        # constant exponent
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.power(a, b)
-        if np.any(~np.isfinite(out)):
-            raise ExprDomainError("power produced a non-finite value", e)
-        return out
+
+            def divide(t, x, y):
+                a = f(t, x, y)
+                b = g(t, x, y)
+                if np.any(b == 0.0) if isinstance(b, np.ndarray) else b == 0.0:
+                    raise ExprDomainError("division by zero", e)
+                return a / b
+
+            return divide
+        if e.op == "^":  # constant exponent
+
+            def power(t, x, y):
+                a = f(t, x, y)
+                b = g(t, x, y)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    out = np.power(a, b)
+                if not _finite(out):
+                    raise ExprDomainError("power produced a non-finite value", e)
+                return out
+
+            return power
+        raise TypeError(f"unknown operator {e.op!r} in {e!r}")
     if isinstance(e, Call):
-        arg = _eval(e.arg, env)
-        if e.fn == "sqrt" and np.any(np.asarray(arg) < 0.0):
-            raise ExprDomainError("sqrt of a negative value", e)
-        out = _CALLS[e.fn](arg)
-        if np.any(~np.isfinite(out)):
-            raise ExprDomainError(f"{e.fn} produced a non-finite value", e)
-        return out
+        f, fn, sqrt = _build(e.arg), _CALLS[e.fn], e.fn == "sqrt"
+
+        def call(t, x, y):
+            arg = f(t, x, y)
+            if sqrt and (np.any(arg < 0.0) if isinstance(arg, np.ndarray) else arg < 0.0):
+                raise ExprDomainError("sqrt of a negative value", e)
+            out = fn(arg)
+            if not _finite(out):
+                raise ExprDomainError(f"{e.fn} produced a non-finite value", e)
+            return out
+
+        return call
     raise TypeError(f"not an expression node: {e!r}")
+
+
+@lru_cache(maxsize=1024)
+def _compiled(e: Expr):
+    """The closure of e, built once per distinct tree (keyed by value)."""
+    return _build(e)
 
 
 def evaluate(e: Expr, t=0.0, x=0.0, y=0.0):
     """Evaluate at time t and spatial point (x[, y]); accepts numpy arrays.
 
     Deterministic IEEE double evaluation with no hidden state; repeated calls
-    return bit-identical results.
+    return bit-identical results.  The tree is compiled into closures on its
+    first evaluation and the compiled form is cached by value.
     """
-    return _eval(e, {"t": t, "x": x, "y": y})
+    return _compiled(e)(t, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +482,7 @@ class CoefficientField:
 
     def sample(self, samples: int = SUP_SAMPLES_PER_AXIS) -> np.ndarray:
         grids = self.grids(samples)
-        names = ("t", "x", "y")[: len(grids)]
-        env = dict(zip(names, grids))
-        out = _eval(self.expr, {"t": env["t"], "x": env.get("x", 0.0), "y": env.get("y", 0.0)})
+        out = evaluate(self.expr, **dict(zip(("t", "x", "y"), grids)))
         return np.broadcast_to(np.asarray(out, dtype=float), grids[0].shape)
 
 

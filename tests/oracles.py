@@ -3,11 +3,13 @@
 These deliberately avoid the code paths under test: the Mittag-Leffler
 reference sums the defining series in scaled arbitrary precision, the dense
 quadrature oracles integrate with plain Simpson sums, the 2-D form oracle
-tabulates every basis function on one dense tensor Gauss-Legendre grid, and
-the L1 and product-integration marches sum the whole history at every node.
+tabulates every basis function on one dense tensor Gauss-Legendre grid, the
+L1 and product-integration marches sum the whole history at every node, and
+the expression reference walks the tree node by node.
 """
 
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -154,3 +156,50 @@ def pi_march(alpha: float, T: float, A: np.ndarray, f: np.ndarray) -> np.ndarray
         c[m] = np.linalg.solve(eye + w[m] * A[m], w[m] * f[m] + w[:m] @ g[:m])
         g[m] = f[m] - A[m] @ c[m]
     return c
+
+
+class DomainFault(Exception):
+    """Raised by tree_value at the first node without a finite value."""
+
+    def __init__(self, node):
+        super().__init__(repr(node))
+        self.node = node
+
+
+_TREE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def tree_value(node, t, x, y):
+    """Value of an exprfield tree by walking it, children left to right.
+
+    Dispatches on the node's class name and fields alone.  Each node applies
+    its numpy operation to its children's values; the first node, in that
+    order, that divides by zero, takes sqrt below 0 or gives a power or
+    function value that is not finite raises DomainFault(node).
+    """
+    kind = type(node).__name__
+    if kind == "Num":
+        return node.value
+    if kind == "Var":
+        return {"t": t, "x": x, "y": y}[node.name]
+    if kind == "Neg":
+        return -tree_value(node.child, t, x, y)
+    if kind == "Call":
+        a = tree_value(node.arg, t, x, y)
+        if node.fn == "sqrt" and np.min(a) < 0.0:
+            raise DomainFault(node)
+        out = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.absolute}[node.fn](a)
+    elif kind == "BinOp":
+        a = tree_value(node.left, t, x, y)
+        b = tree_value(node.right, t, x, y)
+        if node.op in _TREE_OPS:
+            if node.op == "/" and np.count_nonzero(b) < np.size(b):
+                raise DomainFault(node)
+            return _TREE_OPS[node.op](a, b)
+        with np.errstate(all="ignore"):
+            out = np.power(a, b)
+    else:
+        raise TypeError(kind)
+    if not np.all(np.isfinite(out)):
+        raise DomainFault(node)
+    return out

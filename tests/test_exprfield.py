@@ -1,6 +1,7 @@
 """Parser, evaluator and sup-bound tests for the coefficient expression language."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from fracspec.exprfield import (
     sup_bound_vector,
     to_source,
 )
+
+from oracles import DomainFault, tree_value
 
 
 class TestParse:
@@ -145,6 +148,87 @@ def _combine(children):
 @settings(max_examples=150, deadline=None)
 def test_print_parse_roundtrip(tree):
     assert parse(to_source(tree)) == tree
+
+
+_trees = st.recursive(_leaf, _combine, max_leaves=20)
+
+# scalar arguments, and arrays broadcasting over (t, x, y) as CoefficientField.sample does
+_ARGS = [
+    {"t": 0.3, "x": 0.7, "y": 1.9},
+    {"t": 2.0, "x": -1.25, "y": 0.0},
+    {
+        "t": np.array([0.0, 0.5])[:, None, None],
+        "x": np.linspace(-1.0, 2.0, 5)[None, :, None],
+        "y": np.linspace(0.0, 1.0, 3)[None, None, :],
+    },
+    {"t": 0.6, "x": np.linspace(0.05, 0.95, 7)[:, None], "y": np.linspace(0.1, 0.6, 4)[None, :]},
+]
+
+
+@given(_trees, st.sampled_from(range(len(_ARGS))))
+@settings(max_examples=300, deadline=None)
+def test_compiled_matches_tree_walk(tree, which):
+    # the compiled evaluator against tests/oracles.py::tree_value: the same
+    # value bit for bit, or a domain error naming the same subexpression.
+    # Overflow warnings are silenced for both; a non-finite result still fails.
+    args = _ARGS[which]
+    with np.errstate(all="ignore"):
+        try:
+            want = tree_value(tree, **args)
+        except DomainFault as fault:
+            with pytest.raises(ExprDomainError) as exc:
+                evaluate(tree, **args)
+            assert exc.value.subexpr == fault.node
+            return
+        got = evaluate(tree, **args)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestCompiledForm:
+    def test_missing_variable_named(self):
+        e = parse("1 + 2*z", variables=("t", "x", "z"))
+        with pytest.raises(ExprDomainError, match="variable 'z' has no value here") as exc:
+            evaluate(e, t=1.0)
+        assert exc.value.subexpr == Var("z")
+
+    @pytest.mark.parametrize(
+        "src, args, message, node",
+        [
+            ("1 + 1/(x - 1)", {"x": np.array([0.0, 1.0])}, "division by zero", "1/(x - 1)"),
+            ("2*sqrt(t - x)", {"t": 0.5, "x": 1.0}, "sqrt of a negative value", "sqrt(t - x)"),
+            ("x + (t - 1)^0.5", {"t": 0.0}, "power produced a non-finite value", "(t - 1)^0.5"),
+            ("exp(1000*t)", {"t": 1.0}, "exp produced a non-finite value", "exp(1000*t)"),
+            # both operands fail: the left one, evaluated first, is named
+            ("sqrt(x - 2)/sqrt(x - 3)", {"x": 1.0}, "sqrt of a negative value", "sqrt(x - 2)"),
+            ("1/(x - 1) + 1/(x - 1)^0.5", {"x": np.array([1.0, 0.0])}, "division by zero", "1/(x - 1)"),
+        ],
+    )
+    def test_domain_errors_name_the_subexpression(self, src, args, message, node):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ExprDomainError, match=message) as exc:
+                evaluate(parse(src), **args)
+        assert exc.value.subexpr == parse(node)
+
+    def test_equal_trees_share_one_compiled_form(self):
+        a, b = parse("sin(pi*x)*t"), parse("sin(pi*x)*t")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert evaluate(a, t=0.5, x=0.25) == evaluate(b, t=0.5, x=0.25)
+
+    def test_literal_value_independent_of_compile_order(self):
+        # Num(-0.0) == Num(0) == Num(0.0) share a compiled form; each reads 0.0
+        for leaf in (Num(-0.0), Num(0), Num(0.0), Num(-0.0)):
+            v = evaluate(leaf)
+            assert type(v) is float and v == 0.0 and math.copysign(1.0, v) == 1.0
+        assert math.copysign(1.0, evaluate(BinOp("*", Num(-0.0), Var("x")), x=1.0)) == 1.0
+
+    def test_hash_cache_is_no_field(self):
+        e = parse("1 + x*t")
+        h = hash(e)
+        assert hash(e) == h == hash(BinOp("+", Num(1.0), BinOp("*", Var("x"), Var("t"))))
+        assert repr(e) == "BinOp(op='+', left=Num(value=1.0), right=BinOp(op='*', left=Var(name='x'), right=Var(name='t')))"
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and "_hash" not in copy.__dict__ and hash(copy) == h
 
 
 class TestSupBound:

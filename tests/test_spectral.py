@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracspec.exprfield import CoefficientField, evaluate, parse
+from fracspec.exprfield import CoefficientField, ExprDomainError, evaluate, parse
 from fracspec.spectral import (
     DomainGeometry,
     EllipticityError,
@@ -25,6 +25,7 @@ from fracspec.spectral import (
     quadrature_grid,
     stiffness_gram,
 )
+from fracspec.spectral import _tabulate, _Tabulation
 
 from oracles import dense_form_2d, simpson
 
@@ -171,6 +172,20 @@ class TestAssemble:
         A = assemble(b, coeffs, {}, t).matrix
         assert np.max(np.abs(A - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_small_n_variable_coefficients(self, N):
+        # regression: 4N panels alone (4 at N = 1) gave 3.4e-9 relative at
+        # N = 1 and 1.8e-9 at N = 2; the default rule has at least 16 panels
+        t = 0.6
+        coeffs = variable_coeffs()
+        b = build_basis(DomainGeometry(BOXES[0]), N)
+        fns = {k: (lambda X, Y, e=e: np.broadcast_to(evaluate(e, t=t, x=X, y=Y), X.shape))
+               for k, e in coeffs.items()}
+        ref = dense_form_2d(BOXES[0], b.modes, fns, (60, 60))
+        A = assemble(b, coeffs, {}, t).matrix
+        assert np.linalg.norm(A - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert default_quadrature(N).panels == 16
+
     def test_ellipticity_abort(self):
         b = build_basis(DomainGeometry((1.0,)), 4)
         with pytest.raises(EllipticityError):
@@ -190,6 +205,152 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
         assert A.shape == (256, 256) and np.all(np.isfinite(A))
+
+
+# (row, col) factors per coefficient in A_ij = a(e_j, e_i): an axis index is
+# the derivative along it of the test (row) or trial (col) function, None the value
+FORM_SLOTS = {
+    "a11": [(0, 0)], "a12": [(0, 1), (1, 0)], "a22": [(1, 1)],
+    "b1": [(None, 0)], "b2": [(None, 1)], "c": [(None, None)],
+}
+
+# separable: every coefficient a sum of g(t) h(x, y); partly: some terms are
+# not (sin(3*x*t)); not: no term splits
+SPLIT_CASES = {
+    "separable-1d": ((1.0,), {
+        "a11": "1.2 + 0.3*sin(2*t)*cos(pi*x)",
+        "b1": "0.5*t*sin(pi*x) - exp(-t)",
+        "c": "0.7 + (1 + t^2)*x*(1 - x)/(2 + t) - x/2",
+    }),
+    "partly-1d": ((1.0,), {
+        "a11": "1.2 + 0.2*sin(3*x*t) + t*cos(pi*x)/(1+t)",
+        "b1": "-(t - x)*2",
+        "c": "x/(1 + t) - t^2*exp(x*t)",
+    }),
+    "not-1d": ((1.0,), {"a11": "1.5 + 0.3*sin(x*t)", "b1": "cos(x + t)", "c": "exp(-x*t)"}),
+    "separable-2d": ((1.0, 0.7), {
+        "a11": "1.2 + 0.3*sin(2*t)*cos(pi*x)*y",
+        "a12": "0.1*t*x - 0.05*y",
+        "a22": "2 + 0.4*cos(pi*y)*exp(-t)",
+        "b1": "t*(x - y)",
+        "b2": "(1 + y)/(1 + t)",
+        "c": "0.7 + t*x*y^2",
+    }),
+    "partly-2d": ((1.0, 0.7), {
+        "a11": "1.2 + 0.2*sin(3*x*t) + t*cos(pi*x)/(1+t)",
+        "a12": "0.1*sin(x*y*t) + 0.05*t",
+        "a22": "2 + 0.3*cos(pi*y*t) + t*y",
+        "b1": "x - t*y",
+        "c": "sqrt(1 + x*t)*y",
+    }),
+    "not-2d": ((1.0, 0.7), {
+        "a11": "1.5 + 0.3*sin(x*t*y)",
+        "a12": "0.1*cos(x + t)",
+        "a22": "2 + exp(-x*t)",
+        "b2": "sin(y - t)",
+        "c": "(x + t)^2",
+    }),
+}
+
+
+def per_node_reference(basis, coeffs, t):
+    """A(t) by sampling each whole coefficient on the assembly grid at t and contracting."""
+    tab = _tabulate(basis, None)
+    A = np.zeros((basis.N, basis.N))
+    for name, e in coeffs.items():
+        C = np.broadcast_to(evaluate(e, t=t, **tab.env), tab.shape)
+        for row, col in FORM_SLOTS[name]:
+            A += tab.contract(C, row, col)
+    return A
+
+
+def split_case(name, N):
+    lengths, srcs = SPLIT_CASES[name]
+    return build_basis(DomainGeometry(lengths), N), {k: parse(v) for k, v in srcs.items()}
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Counts _Tabulation.contract calls."""
+    count = [0]
+    contract = _Tabulation.contract
+
+    def counted(self, *args):
+        count[0] += 1
+        return contract(self, *args)
+
+    monkeypatch.setattr(_Tabulation, "contract", counted)
+    return count
+
+
+class TestHoistedAssembly:
+    @pytest.mark.parametrize("case", list(SPLIT_CASES))
+    def test_matches_per_node_reference(self, case):
+        basis, coeffs = split_case(case, 12)
+        for t in (0.0, 0.37, 1.0):
+            A = assemble(basis, coeffs, {}, t).matrix
+            ref = per_node_reference(basis, coeffs, t)
+            assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_fields_and_bare_expressions_agree(self):
+        basis, coeffs = split_case("partly-2d", 8)
+        fields = {k: CoefficientField(e, (1.0, 0.7), 1.0) for k, e in coeffs.items()}
+        assert np.array_equal(assemble(basis, fields, {}, 0.4).matrix, assemble(basis, coeffs, {}, 0.4).matrix)
+
+    @pytest.mark.parametrize("case", ["separable-1d", "separable-2d"])
+    def test_second_node_contracts_nothing(self, case, contractions):
+        basis, coeffs = split_case(case, 8)
+        assemble(basis, coeffs, {}, 0.2)
+        assert contractions[0] > 0
+        contractions[0] = 0
+        A = assemble(basis, coeffs, {}, 0.9).matrix
+        assert contractions[0] == 0
+        ref = per_node_reference(basis, coeffs, 0.9)
+        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_only_the_rest_is_contracted_per_node(self, contractions):
+        # a11's sin(3*x*t) does not split: one (0, 0) contraction per node
+        basis = build_basis(DomainGeometry((1.0,)), 8)
+        coeffs = {"a11": parse("1 + 0.2*sin(3*x*t) + t*x"), "c": parse("t*x^2")}
+        assemble(basis, coeffs, {}, 0.2)
+        contractions[0] = 0
+        assemble(basis, coeffs, {}, 0.9)
+        assert contractions[0] == 1
+
+    def test_replaced_coefficient_is_not_stale(self):
+        basis = build_basis(DomainGeometry((1.0,)), 6)
+        coeffs = {"a11": parse("1 + x*t"), "c": parse("t")}
+        first = assemble(basis, coeffs, {}, 0.5).matrix
+        coeffs["a11"] = parse("2 + x*t")
+        second = assemble(basis, coeffs, {}, 0.5).matrix
+        ref = per_node_reference(basis, coeffs, 0.5)
+        assert np.max(np.abs(second - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(second - first)) > 1.0
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_t_free_factor_domain_error(self, t):
+        # sqrt(x - 2) is sampled once, for the plan; it fails at every node
+        basis = build_basis(DomainGeometry((1.0,)), 4)
+        with pytest.raises(ExprDomainError, match="sqrt of a negative value") as exc:
+            assemble(basis, {"a11": parse("1 + t*sqrt(x - 2)")}, {}, t)
+        assert exc.value.subexpr == parse("sqrt(x - 2)")
+
+    def test_t_factor_domain_error_at_its_node(self):
+        basis = build_basis(DomainGeometry((1.0,)), 4)
+        coeffs = {"a11": parse("2 + x*t/(t - 0.5)")}
+        A = assemble(basis, coeffs, {}, 0.25).matrix
+        ref = per_node_reference(basis, coeffs, 0.25)
+        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+        with pytest.raises(ExprDomainError, match="division by zero"):
+            assemble(basis, coeffs, {}, 0.5)
+
+    def test_ellipticity_error_names_t_and_x(self):
+        # 1 - 2x < 0 on (1/2, 1): the minimum sits at the last grid point
+        basis = build_basis(DomainGeometry((1.0,)), 4)
+        coeffs = {"a11": parse("1 - t*x")}
+        assemble(basis, coeffs, {}, 0.5)
+        with pytest.raises(EllipticityError, match=r"at t=2\.0, x=\(0\.99"):
+            assemble(basis, coeffs, {}, 2.0)
 
 
 class TestCheckEllipticity:
