@@ -273,7 +273,8 @@ def picard_solve(ivp: FractionalIVP, cfg: PicardConfig = PicardConfig()) -> tupl
     returned only if its fixed-point residual, by one application of
     picard_apply, is <= tol max(1, ||c||); PicardDivergenceError otherwise.
     SingularStepError names a node where sigma I + A_m is singular.  The
-    residual check costs O(N M^2), the march O(N M log^2 M).
+    residual check costs O(N M log M) (an FFT convolution above 2048 nodes),
+    the march O(N M log^2 M).
     """
     alpha = ivp.alpha
     a0, W = _pl_weights(alpha, ivp.grid.M)

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import l1_march, ml_reference, pi_march
 
-from fracspec.fraccalc import GridSeries, TimeGrid, ml, rl_integral
+from fracspec.fraccalc import GridSeries, TimeGrid, ml, ml_array, rl_integral
 from fracspec.fode import (
     FractionalIVP,
     PicardConfig,
@@ -37,13 +37,13 @@ def scalar_ivp(T=T_BENCH, M=512, lam=1.0, alpha=0.5, q=1.0):
 
 
 def scalar_exact(g, lam=1.0, alpha=0.5, q=1.0):
-    return np.array([(q / lam) * (1.0 - ml(alpha, -lam * t**alpha)) for t in g.nodes])
+    return (q / lam) * (1.0 - ml_array(alpha, -lam * g.nodes**alpha))
 
 
-def dense_system():
-    """A dense non-symmetric time-dependent A on M = 1000 nodes, T = 2,
-    alpha = 0.35: the history splitting recurses several levels deep."""
-    M, N = 1000, 5
+def dense_system(M=1000):
+    """A dense non-symmetric time-dependent A on M nodes, T = 2, alpha = 0.35:
+    the history splitting recurses several levels deep."""
+    N = 5
     g = TimeGrid(2.0, M)
     rng = np.random.default_rng(11)
     B0, B1 = rng.standard_normal((2, N, N))
@@ -213,11 +213,14 @@ class TestPicard:
 
     def test_matches_plain_march(self):
         # the fixed point is the product-integration march of an independent
-        # O(M^2) oracle with its own weights, node by node
-        ivp = dense_system()
-        got = picard_solve(ivp)[0].values
-        ref = pi_march(ivp.alpha, ivp.grid.T, np.asarray(ivp.A), np.asarray(ivp.f))
-        assert node_rel_err(got, ref) <= 1e-12
+        # O(M^2) oracle with its own weights, node by node; at M = 4096 the
+        # residual check convolves by FFT
+        for M in (1000, 4096):
+            ivp = dense_system(M)
+            got, log = picard_solve(ivp)
+            ref = pi_march(ivp.alpha, ivp.grid.T, np.asarray(ivp.A), np.asarray(ivp.f))
+            assert node_rel_err(got.values, ref) <= 1e-12
+            assert log.residual <= 1e-13 * np.abs(got.values).max()
 
     def test_divergence_reported(self):
         # the fixed-point residual check is the verification: a tolerance
@@ -355,11 +358,13 @@ class TestVariationOfConstants:
         assert np.max(np.abs(out - expected) / np.abs(expected)) <= 1e-11
 
     def test_matches_closed_form(self):
-        g = TimeGrid(1.0, 2048)
-        one = GridSeries(g, np.ones(2049))
-        out = variation_of_constants(1.0, one, 0.5)
-        exact = scalar_exact(g, lam=1.0, alpha=0.5)
-        assert np.max(np.abs(out.values - exact)) <= 1e-6
+        # M = 4096 convolves the weights by FFT
+        for M in (2048, 4096):
+            g = TimeGrid(1.0, M)
+            one = GridSeries(g, np.ones(M + 1))
+            out = variation_of_constants(1.0, one, 0.5)
+            exact = scalar_exact(g, lam=1.0, alpha=0.5)
+            assert np.max(np.abs(out.values - exact)) <= 1e-6
 
     def test_smooth_forcing_convergence(self):
         # non-constant forcing: second-order interpolation error only

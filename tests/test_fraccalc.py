@@ -1,6 +1,7 @@
 """Discrete fractional-calculus operators: closed-form oracles and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fracspec import (
     rl_integral,
     rl_integral_left,
 )
-from fracspec.fraccalc import _causal_conv, _conv_tail, _pl_weights, ml_array
+from fracspec.fraccalc import _BLOCK_BYTES, _DIRECT_ROWS, _causal_conv, _conv_tail, _pl_weights, ml_array
 
 
 def series(T, M, fn):
@@ -67,15 +68,19 @@ class TestRLIntegral:
         assert out.values[-1] == pytest.approx(expected, rel=1e-13)
 
     def test_power_rule_convergence(self):
-        # I^alpha t^mu = Gamma(mu+1)/Gamma(mu+1+alpha) t^(mu+alpha)
+        # I^alpha t^mu = Gamma(mu+1)/Gamma(mu+1+alpha) t^(mu+alpha), and
+        # mirrored I^alpha_{T-} (T-t)^mu, at every node; M = 4096 convolves
+        # by FFT, where the second-order error must keep falling (x256)
         errs = []
-        for M in (128, 256):
-            s = series(1.0, M, lambda t: t**2)
-            out = rl_integral(s, 0.3)
-            exact = math.gamma(3.0) / math.gamma(3.3)
-            errs.append(abs(out.values[-1] - exact))
+        for M in (128, 256, 4096):
+            t = TimeGrid(1.0, M).nodes
+            exact = math.gamma(3.0) / math.gamma(3.3) * t**2.3
+            out = rl_integral(series(1.0, M, lambda t: t**2), 0.3).values
+            left = rl_integral_left(series(1.0, M, lambda t: (1.0 - t) ** 2), 0.3).values
+            errs.append(max(np.max(np.abs(out - exact)), np.max(np.abs(left - exact[::-1]))))
         assert errs[1] < errs[0]
         assert errs[1] < 1e-5
+        assert errs[2] <= errs[1] / 200.0
 
     def test_semigroup(self):
         # I^a I^b x ~ I^(a+b) x within O(dt) on smooth data
@@ -207,6 +212,41 @@ class TestCausalConv:
             cols = x.reshape(n, -1)
             want = np.stack([np.convolve(kernel, cols[:, c])[:n] for c in range(cols.shape[1])], axis=1)
             assert np.array_equal(got.reshape(n, -1), want)
+
+    @pytest.mark.parametrize("shape", [(_DIRECT_ROWS + 1,), (4096, 3), (3000, 2, 3)])
+    def test_fft_side_matches_full_convolution(self, shape):
+        # above _DIRECT_ROWS rows every column goes through one rfft product;
+        # its rounding is normwise, so each column's error is bounded by the
+        # largest entry of |kernel| * |x|.  Kernels as long as the data and
+        # one entry longer, as the I^alpha weights are.
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(shape)
+        n = shape[0]
+        for kernel in (rng.standard_normal(n), _pl_weights(0.4, n)[1]):
+            got = _causal_conv(kernel, x)
+            assert got.shape == x.shape
+            cols = x.reshape(n, -1)
+            for c in range(cols.shape[1]):
+                want = np.convolve(kernel, cols[:, c])[:n]
+                scale = np.convolve(np.abs(kernel), np.abs(cols[:, c]))[:n].max()
+                assert np.max(np.abs(got.reshape(n, -1)[:, c] - want)) <= 1e-14 * scale
+
+    def test_fft_side_memory_bounded(self):
+        # the columns pass through the FFT a block at a time: beyond the
+        # output, the peak holds at most _BLOCK_BYTES of column temporaries
+        # and the kernel spectrum.  All columns at once would hold the
+        # (L/2+1) x 8 spectrum and L x 8 inverse, 4 MiB at L = 32768.
+        n, cols = 16384, 8
+        L = 2 * n
+        x = np.random.default_rng(10).standard_normal((n, cols))
+        kernel = _pl_weights(0.5, n)[1]
+        tracemalloc.start()
+        try:
+            _causal_conv(kernel, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + _BLOCK_BYTES + 16 * (L // 2 + 1)
 
     @pytest.mark.parametrize("k, n", [(1, 1), (5, 8), (64, 63), (257, 300)])
     def test_tail_matches_direct_convolution(self, k, n):

@@ -225,3 +225,24 @@ def test_ml_array_memory_bounded():
     small, large = peak(10_000), peak(100_000)
     assert large <= 8 * 2**20
     assert large - small <= 10 * 8 * 90_000
+
+
+@pytest.mark.parametrize("alpha,beta,z", [(0.7, 0.4, -1.0), (0.9, 0.7, -3.4822), (0.9, 0.7, -3.4775)])
+def test_float_series_rounding_model(alpha, beta, z):
+    # regression: the float series was kept when eps max|term| <= tol/4 |sum|,
+    # as if each term were correct to one ulp; exp(k ln|z| - lgamma(a k + b))
+    # carries several, and E_{0.9,0.7}(-3.4775) was off by 1.3e-12.
+    # E_{0.7,0.4}(-1) = -1.5e-4 lies near a zero, where the kernel integral
+    # (accurate to its integrand's scale) was off by 1.2e-12
+    assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.7, 0.9, 1.0])
+def test_float_series_region_sweep(alpha):
+    # every z < 0 with |z|^(1/alpha) <= 4 starts on the float series: whether
+    # it keeps the sum or hands the point on, the result is within tol
+    z = -np.linspace(0.02, 1.0, 30) * 4.0**alpha
+    for beta in (0.3, 0.7, 1.0, 1.9):
+        got = ml_array(alpha, z, beta)
+        for zi, gi in zip(z, got):
+            assert abs(gi / ml_reference(alpha, beta, zi) - 1.0) <= 1e-12, (beta, zi)
