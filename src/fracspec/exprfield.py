@@ -360,7 +360,19 @@ def _build(e: Expr):
             def power(t, x, y):
                 a = f(t, x, y)
                 b = g(t, x, y)
-                with np.errstate(invalid="ignore", divide="ignore"):
+                if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                        out = np.power(a, b)
+                else:
+                    # math.pow raises where np.power would warn (a negative
+                    # base to a fractional power, zero to a negative one,
+                    # overflow), without entering np.errstate.  The value
+                    # stays np.power's: its vector loop can differ from libm
+                    # by an ulp, and scalars must match arrays bit for bit.
+                    try:
+                        math.pow(a, b)
+                    except (ValueError, OverflowError) as exc:
+                        raise ExprDomainError("power produced a non-finite value", e) from exc
                     out = np.power(a, b)
                 if not _finite(out):
                     raise ExprDomainError("power produced a non-finite value", e)

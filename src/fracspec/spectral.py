@@ -530,12 +530,9 @@ def modal_norms(v: ModalVector) -> tuple[float, float, float]:
     H^-1^2 = sum c_k^2 / lambda_k, the dual norm induced by the gradient
     inner product, exact on this basis.
     """
-    c = v.coefficients
+    cc = v.coefficients * v.coefficients
     lam = v.basis.eigenvalues
-    l2 = float(np.sqrt(np.sum(c * c)))
-    h10 = float(np.sqrt(np.sum(lam * c * c)))
-    hm1 = float(np.sqrt(np.sum(c * c / lam)))
-    return l2, h10, hm1
+    return math.sqrt(cc.sum()), math.sqrt(lam @ cc), math.sqrt(cc @ (1.0 / lam))
 
 
 def project(samples: np.ndarray, basis: SpectralBasis, quad: QuadratureRule = None) -> ModalVector:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,17 @@ class TestCompiledForm:
             with pytest.raises(ExprDomainError, match=message) as exc:
                 evaluate(parse(src), **args)
         assert exc.value.subexpr == parse(node)
+
+    @pytest.mark.parametrize("src", ["(t - 2)^0.5", "t^(-1)", "(t + 10)^400"])
+    @pytest.mark.parametrize("t", [0.0, np.array([0.0])], ids=["scalar", "array"])
+    def test_power_domain_errors(self, src, t):
+        # a scalar power takes math.pow's domain check, an array power the
+        # finite check of np.power: both name the ^ node and neither warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ExprDomainError, match="power produced a non-finite value") as exc:
+                evaluate(parse(src), t=t)
+        assert exc.value.subexpr == parse(src)
 
     def test_equal_trees_share_one_compiled_form(self):
         a, b = parse("sin(pi*x)*t"), parse("sin(pi*x)*t")

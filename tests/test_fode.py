@@ -9,8 +9,9 @@ import pytest
 
 from oracles import l1_march, ml_reference, pi_march
 
-from fracspec.fraccalc import GridSeries, TimeGrid, ml, ml_array, rl_integral
+from fracspec.fraccalc import _BLOCK_BYTES, GridSeries, TimeGrid, ml, ml_array, rl_integral
 from fracspec.fode import (
+    _STRIDE,
     FractionalIVP,
     PicardConfig,
     PicardDivergenceError,
@@ -115,6 +116,85 @@ class TestOperatorNorm:
         A[:, 1, 1] = 4.0 * math.pi**2
         ivp = FractionalIVP(0.25, TimeGrid(1.0, 4), A, np.zeros((5, 2)))
         assert max_operator_norm(ivp) == pytest.approx(4.0 * math.pi**2, rel=1e-7)
+
+    # The cases below check the pruned evaluation (one SVD per _STRIDE nodes
+    # bounds the rest) against the same eigvalsh oracle, node by node.
+
+    @staticmethod
+    def oracle_norms(A):
+        return np.array([math.sqrt(np.linalg.eigvalsh(a.T @ a).max()) for a in A])
+
+    def check(self, A):
+        M = A.shape[0] - 1
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.zeros((M + 1, A.shape[1])))
+        norms = self.oracle_norms(A)
+        assert max_operator_norm(ivp) == pytest.approx(norms.max(), rel=1e-13, abs=0.0)
+        return norms
+
+    def test_smooth_peak_off_the_anchors(self):
+        # a banded A smooth in t, its largest norm at node 517, which no
+        # anchor (one per _STRIDE nodes, mid-group) sits on
+        M, N = 1000, 8
+        t = np.linspace(0.0, 1.0, M + 1)
+        bump = 1.0 + 0.5 * np.exp(-(((t - 0.517) / 0.05) ** 2))
+        A = np.zeros((M + 1, N, N))
+        idx = np.arange(N)
+        A[:, idx, idx] = bump[:, None] * (1.0 + idx) ** 2
+        A[:, idx[:-1], idx[1:]] = np.cos(3.0 * t)[:, None]
+        A[:, idx[1:], idx[:-1]] = -0.5
+        norms = self.check(A)
+        peak = int(np.argmax(norms))
+        assert peak == 517 and peak % _STRIDE not in (_STRIDE // 2 - 1, _STRIDE // 2)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-565], ids=["unit", "tiny"])
+    def test_spike_between_anchors(self, scale):
+        # one node far above all others, its anchor's norm below the largest
+        # anchor norm: only its distance to the anchor sends it to the
+        # survivor SVD.  At the tiny scale every square of a difference
+        # underflows to 0.
+        M, N = 200, 4
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 1.0, M + 1)
+        B = (1.0 + 0.2 * t)[:, None, None] * rng.standard_normal((N, N))
+        B[40] += 10.0 * rng.standard_normal((N, N))
+        norms = self.oracle_norms(B)
+        assert int(np.argmax(norms)) == 40
+        assert norms[40] > 2.0 * np.delete(norms, 40).max()
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), scale * B, np.zeros((M + 1, N)))
+        assert max_operator_norm(ivp) == pytest.approx(scale * norms.max(), rel=1e-13, abs=0.0)
+
+    def test_random_non_smooth(self):
+        # neighbouring nodes differ by more than the spread of the norms:
+        # almost every node survives to the exact SVD
+        rng = np.random.default_rng(8)
+        self.check(rng.standard_normal((1001, 6, 6)))
+
+    def test_broadcast(self):
+        M, N = 300, 5
+        band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1)
+        self.check(np.broadcast_to(band, (M + 1, N, N)))
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_fewer_nodes_than_stride(self, M):
+        rng = np.random.default_rng(M)
+        self.check(rng.standard_normal((M + 1, 3, 3)))
+
+    def test_memory_bounded(self):
+        # A is 67 MB; the pruning forms its differences in blocks, so the
+        # peak is one block plus a few doubles per node
+        M, N = 8192, 32
+        t = np.linspace(0.0, 1.0, M + 1)
+        band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1)
+        A = band + np.sin(4.0 * t)[:, None, None] * band.T
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.zeros((M + 1, N)))
+        tracemalloc.start()
+        try:
+            got = max_operator_norm(ivp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _BLOCK_BYTES + 8 * 8 * (M + 1)
+        assert got == pytest.approx(np.linalg.norm(A, 2, axis=(1, 2)).max(), rel=1e-13, abs=0.0)
 
 
 class TestFractionalIVP:

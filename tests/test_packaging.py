@@ -1,4 +1,5 @@
-"""Declared packaging matches the code: entry points and runtime dependencies."""
+"""Declared packaging matches the code: modules, entry points and runtime
+dependencies."""
 
 import ast
 import importlib
@@ -8,13 +9,12 @@ import sys
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fracspec"
 
 
 def project() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)["project"]
 
@@ -26,6 +26,18 @@ def test_script_targets_import_and_are_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} -> {target} is not callable"
+
+
+def test_every_source_module_imports():
+    # run against an installed copy (from outside the checkout, src not on
+    # the path), a module the build left out fails to import here
+    package_dir = pathlib.Path(importlib.import_module("fracspec").__file__).parent
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        assert pathlib.Path(module.__file__).is_relative_to(package_dir), module.__file__
 
 
 def test_third_party_imports_are_declared():

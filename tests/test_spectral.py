@@ -490,6 +490,24 @@ class TestModalNorms:
         )
         assert math.sqrt(simpson(dv**2, x[1] - x[0])) == pytest.approx(h10, rel=1e-10)
 
+    @pytest.mark.parametrize("lengths, N", [((3.0,), 32), ((1.0, 0.7), 40)])
+    def test_matches_fsum_reference(self, lengths, N):
+        # the three sums, each exactly rounded by math.fsum, over coefficients
+        # spanning several decades
+        basis = build_basis(DomainGeometry(lengths), N)
+        rng = np.random.default_rng(N)
+        lam = basis.eigenvalues.tolist()
+        for _ in range(20):
+            c = rng.standard_normal(N) * 10.0 ** rng.uniform(-6.0, 3.0, N)
+            want = (
+                math.sqrt(math.fsum(x * x for x in c)),
+                math.sqrt(math.fsum(k * x * x for k, x in zip(lam, c))),
+                math.sqrt(math.fsum(x * x / k for k, x in zip(lam, c))),
+            )
+            got = modal_norms(ModalVector(c, basis))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * w
+
     def test_poincare(self):
         basis = build_basis(DomainGeometry((2.0,)), 4)
         assert poincare_constant(basis) == pytest.approx(2.0 / math.pi, rel=1e-14)
