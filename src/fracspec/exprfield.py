@@ -487,15 +487,19 @@ class CoefficientField:
                 f"field uses variables {sorted(names - allowed)} outside {sorted(allowed)}"
             )
 
-    def grids(self, samples: int = SUP_SAMPLES_PER_AXIS):
+    def sample(self, samples: int = SUP_SAMPLES_PER_AXIS) -> np.ndarray:
+        """Values on the tensor grid of samples points per axis over
+        [0, T] x box, indexed (t, x[, y]).
+
+        The expression is evaluated on open (sparse) grids, so a factor in
+        one variable costs samples points, and the result is broadcast to the
+        full grid as a read-only view.
+        """
         axes = [np.linspace(0.0, self.horizon, samples)]
         axes += [np.linspace(0.0, L, samples) for L in self.lengths]
-        return np.meshgrid(*axes, indexing="ij")
-
-    def sample(self, samples: int = SUP_SAMPLES_PER_AXIS) -> np.ndarray:
-        grids = self.grids(samples)
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         out = evaluate(self.expr, **dict(zip(("t", "x", "y"), grids)))
-        return np.broadcast_to(np.asarray(out, dtype=float), grids[0].shape)
+        return np.broadcast_to(np.asarray(out, dtype=float), (samples,) * len(axes))
 
 
 def sup_bound(field: CoefficientField, samples: int = SUP_SAMPLES_PER_AXIS) -> float:

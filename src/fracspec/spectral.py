@@ -474,15 +474,13 @@ def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float,
     """
     axes = [np.linspace(0.0, T, samples)]
     axes += [np.linspace(0.0, L, samples) for L in geom.lengths]
-    grids = np.meshgrid(*axes, indexing="ij")
-    names = ("t", "x", "y")[: len(grids)]
-    env = dict(zip(names, grids))
+    # open grids: each coefficient is evaluated on its own axes and broadcast
+    env = dict(zip(("t", "x", "y"), np.meshgrid(*axes, indexing="ij", sparse=True)))
     keys = _diffusion(_present(coeffs, geom.dim), geom.dim)
-    m = _min_eigenvalue({k: _sample(coeffs[k], grids[0].shape, **env) for k in keys})
-    flat = int(np.argmin(m))
-    idx = np.unravel_index(flat, m.shape)
+    m = _min_eigenvalue({k: _sample(coeffs[k], (samples,) * len(axes), **env) for k in keys})
+    idx = np.unravel_index(int(np.argmin(m)), m.shape)
     theta_hat = float(m[idx])
-    argmin = tuple(float(g[idx]) for g in grids)
+    argmin = tuple(float(ax[i]) for ax, i in zip(axes, idx))
     return EllipticityReport(theta_hat, theta_min, theta_hat >= theta_min, argmin)
 
 

@@ -269,6 +269,29 @@ class TestSupBound:
         vals = f.sample(48)  # any grid no finer than the 64-point sampling
         assert b >= np.max(np.abs(vals))
 
+    @pytest.mark.parametrize(
+        "lengths,src",
+        [
+            ((1.0,), "sin(3*x)*exp(t)+0.25*t"),
+            ((1.0,), "2.5"),
+            ((1.0,), "t^0.57 + 1"),
+            ((1.0, 1.25), "cos(pi*x)*sin(pi*y/1.25)*(1 + 0.3*sin(2*t)) + x*y"),
+            ((1.0, 1.25), "-2.5"),
+            ((1.0, 1.25), "exp(-t)*cos(t)"),
+        ],
+    )
+    def test_sample_matches_dense_grid(self, lengths, src):
+        # sampling on open grids and broadcasting gives bit for bit the values
+        # of evaluating on the full meshgrid
+        f = self.field(src, lengths, T=2.0)
+        axes = [np.linspace(0.0, 2.0, 33)] + [np.linspace(0.0, L, 33) for L in lengths]
+        grids = np.meshgrid(*axes, indexing="ij")
+        dense = evaluate(f.expr, **dict(zip(("t", "x", "y"), grids)))
+        dense = np.broadcast_to(np.asarray(dense, dtype=float), grids[0].shape)
+        got = f.sample(33)
+        assert got.shape == dense.shape
+        assert got.tobytes() == np.ascontiguousarray(dense).tobytes()
+
     def test_vector_bound(self):
         f1 = self.field("3")
         f2 = self.field("4")

@@ -1,6 +1,8 @@
 """Mittag-Leffler evaluation against closed forms and a high-precision oracle."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -81,13 +83,13 @@ def test_deep_negative_axis_via_independent_erfc():
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
 @pytest.mark.parametrize("beta", [1.0, 1.5])
 def test_branch_agreement_near_switch(alpha, beta):
-    # the algebraic asymptotic (used below -40) and the kernel-integral route
-    # (used above) must agree where both are valid
-    from fracspec.fraccalc import _algebraic_tail, _ml_negative_robust
+    # the algebraic asymptotic (used past |z|^(1/alpha) = 50) and the contour
+    # route (used before it) must agree where both are valid
+    from fracspec.fraccalc import _algebraic_tail, _contour
 
     for z in (-41.0, -55.0):
         asym = _algebraic_tail(alpha, beta, z, 1e-12)
-        robust = _ml_negative_robust(alpha, beta, z, 1e-12)
+        robust = _contour(alpha, beta, np.array([z]), 1e-12)[0]
         assert asym == pytest.approx(robust, rel=5e-11)
 
 
@@ -164,9 +166,8 @@ def test_ml_array_keeps_shape(shape):
 def test_ml_array_mixed_branches(alpha, beta):
     # one array through every branch open at alpha: z = 0, the positive
     # series, the exponential asymptotic (where exp(z**(1/alpha)) fits a
-    # double), the float series, the kernel integral (alpha <= 0.95) or the
-    # mpmath series, and below -40 the algebraic tail or, at alpha = 1, the
-    # mpmath series
+    # double), the contour, the mpmath series where the contour's bound hands
+    # a point on, and past |z|^(1/alpha) = 50 the algebraic tail (alpha < 1)
     z = [0.0, 2.5, -0.2, -1.2, -3.0, -8.0, -15.0, -45.0, -300.0]
     if 45.0 ** (1.0 / alpha) < 700.0:
         z.append(45.0)
@@ -182,13 +183,14 @@ def test_ml_array_mixed_branches(alpha, beta):
 
 
 def test_cancelled_float_series_takes_robust_route():
-    # E_{0.9,0.4}(-0.678) lies ~1e-4 below the largest term of its series:
-    # the float sum is handed to the robust route, also inside a batch
-    from fracspec.fraccalc import _ml_negative_robust
+    # E_{0.9,0.4}(-0.678) lies ~1e-4 below the largest term of its series
+    # and near a zero of E: the contour's rounding bound hands it to the
+    # mpmath series, also inside a batch
+    from fracspec.fraccalc import _contour
 
     z = np.array([-0.2, -0.677947, -0.5])
     got = ml_array(0.9, z, 0.4)
-    assert got[1] == _ml_negative_robust(0.9, 0.4, z[1], 1e-12)
+    assert got[1] == _contour(0.9, 0.4, z[1:2], 1e-12)[0]
     for zi, gi in zip(z, got):
         assert gi == pytest.approx(ml_reference(0.9, 0.4, zi), rel=5e-12, abs=0)
 
@@ -210,9 +212,10 @@ def test_ml_array_overflow_signalled():
 
 
 def test_ml_array_memory_bounded():
-    # the kernel integral takes ~1200 quadrature nodes per point; they are
-    # held a block at a time, so only arrays of a few doubles per point
-    # grow with the point count
+    # the contour takes 16 complex nodes per point and the algebraic tail up
+    # to 399 terms (a = 0.5 sends |z| > 7.07 there); both are held a block
+    # at a time, escalation to mpmath included, so only arrays of a few
+    # doubles per point grow with the point count
     def peak(n):
         z = -np.linspace(5.0, 35.0, n)
         tracemalloc.start()
@@ -239,10 +242,86 @@ def test_float_series_rounding_model(alpha, beta, z):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.7, 0.9, 1.0])
 def test_float_series_region_sweep(alpha):
-    # every z < 0 with |z|^(1/alpha) <= 4 starts on the float series: whether
-    # it keeps the sum or hands the point on, the result is within tol
+    # every z < 0 with |z|^(1/alpha) <= 4, zeros of E for beta < alpha
+    # among them: the contour, or the mpmath series where its rounding bound
+    # hands a point on, is within tol
     z = -np.linspace(0.02, 1.0, 30) * 4.0**alpha
     for beta in (0.3, 0.7, 1.0, 1.9):
         got = ml_array(alpha, z, beta)
         for zi, gi in zip(z, got):
             assert abs(gi / ml_reference(alpha, beta, zi) - 1.0) <= 1e-12, (beta, zi)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.97, 0.995, 1.0])
+def test_contour_library_betas(alpha):
+    # the betas the library evaluates (E_alpha in the relaxations and k_n,
+    # alpha + 1 and alpha + 2 in variation_of_constants) over the contour's
+    # range |z|^(1/alpha) <= 50, alpha close to 1 included
+    for beta in (1.0, alpha + 1.0, alpha + 2.0):
+        for s in (1e-6, 0.02, 0.7, 3.0, 9.0, 20.0, 35.0, 49.9):
+            z = -(s**alpha)
+            assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (beta, z)
+
+
+@pytest.mark.parametrize("beta", [3.0, 4.0, 6.0])
+def test_contour_reduces_large_beta(beta):
+    # the contour's own error grows with beta (1e-11 at beta = 6 on these
+    # points); the recurrence brings beta to <= 3 first
+    for alpha in (0.3, 0.5, 0.9):
+        for z in (-0.5, -2.0, -3.0):
+            assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (alpha, z)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 0.99])
+def test_tail_just_past_the_cut(alpha):
+    # past |z|^(1/alpha) = 50 the algebraic tail serves alone; at the cut its
+    # truncation error is ~exp(-50)
+    for beta in (0.05, 1.0, alpha + 1.0, 4.0):
+        for s in (50.001, 52.0):
+            z = -(s**alpha)
+            assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (beta, z)
+
+
+@pytest.mark.parametrize("alpha,beta,z", [(0.7, 0.4, -1.0), (0.999, 1.0, -39.0)])
+def test_escalated_points(alpha, beta, z, monkeypatch):
+    # the contour's rounding bound hands these to the mpmath series: one
+    # sits near a zero of E, and E_{0.999}(-39) ~ 2.6e-5 lies far below the
+    # contour's terms
+    from fracspec import fraccalc
+
+    taken = []
+    series_mp = fraccalc._series_mp
+    monkeypatch.setattr(fraccalc, "_series_mp", lambda a, b, zz: taken.append(zz) or series_mp(a, b, zz))
+    got = ml(alpha, z, beta)
+    assert len(taken) == 1
+    assert abs(got / ml_reference(alpha, beta, z) - 1.0) <= 1e-12
+
+
+def test_mpmath_imported_only_by_the_fallback():
+    # import fracspec and an oracle-shaped sweep (relaxations, the
+    # variation-of-constants weights, the Yosida kernels) run without
+    # mpmath; the first point the contour hands on imports it
+    code = """
+import sys
+import numpy as np
+import fracspec
+from fracspec import fode
+from fracspec.fraccalc import GridSeries, Kernel, TimeGrid, convolve, ml_array
+
+print("mpmath" in sys.modules)
+g = TimeGrid(1.0, 1024)
+f = GridSeries(g, np.ones(g.M + 1))
+for k in range(1, 5):
+    lam = (k * np.pi) ** 2
+    ml_array(0.5, -lam * g.nodes**0.5)
+    fode.variation_of_constants(lam, f, 0.5)
+for n in (10, 100, 1000):
+    convolve(f, Kernel.kn(0.5, n))
+fode.variation_of_constants(np.pi**2, GridSeries(TimeGrid(1.0, 128), np.ones(129)), 0.97)
+fode.variation_of_constants(1e-6, f, 0.5)  # |z| <= 1e-6 at beta = alpha + 2
+print("mpmath" in sys.modules)
+ml_array(0.7, -1.0, 0.4)
+print("mpmath" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "True"]
