@@ -189,20 +189,25 @@ _TAIL_TERMS = 399
 
 def _algebraic_tail(a: float, b: float, z, tol: float):
     """-sum_{k>=1} z^{-k} / Gamma(b - a k) at every point of z, each truncated
-    at its smallest term.
+    at its smallest term; returns (sum, converged).
 
     Valid asymptotic expansion on the negative axis (|arg z| > a*pi) and the
-    algebraic correction for large positive z.
+    algebraic correction for large positive z.  A point is converged if its
+    terms fell below tol of the sum or passed their smallest within the
+    table, whose length is _TAIL_TERMS or, below alpha ~ 0.13, _TAIL_CUT /
+    alpha: the smallest term lies near k = |z|^(1/alpha) / alpha, and at the
+    cut the terms fall below tol well before it.
     """
     zf = np.asarray(z, dtype=float)
     flat = zf.reshape(-1)
+    n_terms = max(_TAIL_TERMS, math.ceil(_TAIL_CUT / a))
     # Raw term magnitudes wiggle through the Gamma poles, so truncation is
     # decided on a continuous envelope: |1/Gamma(x)| <= 1/Gamma(x) for
     # x >= 1/2 and <= Gamma(1-x)/pi below (the two agree at x = 1/2).
     # env, log_r (log |1/Gamma(x)|) and sign_r depend on k only: one table
     # serves every point.
     env, log_r, sign_r = [], [], []
-    for k in range(1, _TAIL_TERMS + 1):
+    for k in range(1, n_terms + 1):
         x = b - a * k
         env.append(-_lgamma(x) if x >= 0.5 else _lgamma(1.0 - x) - math.log(math.pi))
         if x > 0.0:
@@ -216,9 +221,10 @@ def _algebraic_tail(a: float, b: float, z, tol: float):
             log_r.append(_lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi))
             sign_r.append(math.copysign(1.0, s))
     env = np.array(env)
-    ks = np.arange(1.0, _TAIL_TERMS + 1.0)
+    ks = np.arange(1.0, n_terms + 1.0)
     out = np.empty(flat.shape)
-    for sl in _blocks(len(flat), 3 * _TAIL_TERMS):
+    converged = np.empty(flat.shape, dtype=bool)
+    for sl in _blocks(len(flat), 3 * n_terms):
         zb = flat[sl]
         rows = np.arange(len(zb))
         ln_inv = -np.log(np.abs(zb))
@@ -227,7 +233,8 @@ def _algebraic_tail(a: float, b: float, z, tol: float):
         # is decisively passed: 3 above the minimum, 4 or more terms on
         run = np.minimum.accumulate(lenv, axis=1)
         past = (lenv[:, 4:] > run[:, 4:] + 3.0) & (run[:, 4:] == run[:, :-4])
-        last = np.where(past.any(axis=1), past.argmax(axis=1) + 4, _TAIL_TERMS - 1)
+        passed = past.any(axis=1)
+        last = np.where(passed, past.argmax(axis=1) + 4, n_terms - 1)
         k_min = np.argmax(lenv == run[rows, last][:, None], axis=1) + 1
         odd_sign = np.where(zb > 0.0, 1.0, -1.0)
         total = np.zeros(zb.shape)
@@ -249,9 +256,12 @@ def _algebraic_tail(a: float, b: float, z, tol: float):
             # stop on the sine-free envelope: raw magnitudes dip spuriously near
             # the poles and would truncate the series early
             env_k = np.exp(np.minimum(lenv[:, k - 1], 700.0))
-            live &= ~(env_k < 1e-4 * tol * (np.abs(total) + 1e-300))
+            small = env_k < 1e-4 * tol * (np.abs(total) + 1e-300)
+            passed |= live & small
+            live &= ~small
         out[sl] = total
-    return out.reshape(zf.shape)[()]
+        converged[sl] = passed
+    return out.reshape(zf.shape)[()], converged.reshape(zf.shape)[()]
 
 
 def _asymptotic_pos(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
@@ -262,23 +272,20 @@ def _asymptotic_pos(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray
         raise OverflowError(
             f"E_{{{a},{b}}}({z[over][0]}): z**(1/alpha) exceeds the floating range"
         )
-    return np.exp(llead) + _algebraic_tail(a, b, z, tol)
+    # the leading term exceeds exp(40): the tail's truncation does not show
+    return np.exp(llead) + _algebraic_tail(a, b, z, tol)[0]
 
 
 def _series_mp(a: float, b: float, z):
-    """Extended-precision series at every point of z; each point's precision
+    """Arbitrary-precision series at every point of z; each point's precision
     is scaled to its cancellation size |z|**(1/a).
 
-    Every term is formed from z exactly, in decimal arithmetic at the point's
-    precision (the stdlib's libmpdec, 5-7x faster a point than mpmath's
-    pure-Python mpf): a binary64 term would carry ~1e-14 relative noise,
-    fatal after tens of digits of alternating-term cancellation.  The points
-    share one table of 1/Gamma(a k + b), its Gamma argument formed in mpf,
-    at the largest precision any of them needs.  decimal and mpmath are
-    imported here, on the first point that needs them.
+    Every term is formed in mpf arithmetic (including the Gamma argument):
+    a binary64 argument would inject ~1e-14 relative noise per term, fatal
+    after tens of digits of alternating-term cancellation.  The points share
+    one table of 1/Gamma(a k + b), formed at the largest precision any of
+    them needs.  mpmath is imported here, on the first point that needs it.
     """
-    from decimal import Context, Decimal, localcontext
-
     import mpmath
 
     zf = np.asarray(z, dtype=float)
@@ -287,25 +294,24 @@ def _series_mp(a: float, b: float, z):
     # the largest term is ~exp(s); the sum is O(1/|z|) below alpha = 1 but
     # can be exp(-s) at alpha = 1 (E_1(-s) = exp(-s)), twice the cancellation
     dps = 30 + ((0.9 if a == 1.0 else 0.45) * s).astype(int)
-    top = Context(prec=int(dps.max(initial=0)) + 3)
+    top = int(dps.max(initial=0))
     rgamma = []  # rgamma[k] = 1/Gamma(a k + b) at top digits
     out = np.empty(flat.shape)
     for i, (zi, si, d) in enumerate(zip(flat.tolist(), s.tolist(), dps.tolist())):
-        with localcontext(Context(prec=d)):
-            zz = Decimal(zi)
-            total = Decimal(0)
-            max_term = Decimal(0)
-            floor = Decimal(1).scaleb(2 - d)
-            power = Decimal(1)
+        with mpmath.workdps(d):
+            zz = mpmath.mpf(zi)
+            total = mpmath.mpf(0)
+            max_term = mpmath.mpf(0)
+            floor = mpmath.mpf(10) ** (-d + 2)
+            power = mpmath.mpf(1)
             k = 0
             while True:
                 if k == len(rgamma):
-                    if a == 1.0 and k:  # Gamma(x + 1) = x Gamma(x)
-                        rgamma.append(top.divide(rgamma[-1], top.add(k - 1, Decimal(b))))
-                    else:
-                        with mpmath.workdps(top.prec):
-                            rg = mpmath.rgamma(mpmath.mpf(a) * k + b)
-                            rgamma.append(top.create_decimal(mpmath.nstr(rg, top.prec)))
+                    with mpmath.workdps(top):
+                        if a == 1.0 and k:  # Gamma(x + 1) = x Gamma(x)
+                            rgamma.append(rgamma[-1] / (k - 1 + mpmath.mpf(b)))
+                        else:
+                            rgamma.append(mpmath.rgamma(mpmath.mpf(a) * k + b))
                 term = power * rgamma[k]
                 total += term
                 if abs(term) > max_term:
@@ -331,38 +337,43 @@ def _y_minus_sin(y: np.ndarray) -> np.ndarray:
     return np.where(y < 1.0, total, y - np.sin(y))
 
 
-def _talbot_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log s_k, w_k) of the n-point trapezoidal rule for the inverse Laplace
+def _talbot_rule(lam: float, theta_max: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log s_k, w_k) of the trapezoidal rule for the inverse Laplace
     transform at t = 1, f(1) = sum_k Im(w_k F(s_k)) for F real on the real
-    axis, on the Talbot contour of Trefethen, Weideman & Schmelzer (BIT 46,
-    2006): s(theta) = n (mu theta cot(c theta) - sigma + i nu theta).
-    Conjugate symmetry leaves the n/2 nodes of the upper half plane,
-    theta_k = (k + 1/2) 2 pi / n, and w_k = e^(s_k) s'(theta_k) 2/n.
+    axis, on the contour s(theta) = lam (mu theta cot(c theta) - sigma +
+    i nu theta), Talbot's shape with the parameters of Trefethen, Weideman &
+    Schmelzer (BIT 46, 2006).  Conjugate symmetry leaves the m nodes of the
+    upper half plane, theta_k = (k + 1/2) h with h = theta_max / m, and
+    w_k = e^(s_k) s'(theta_k) h / pi.
 
     The largest weights sit at small u = c theta, where u cot u - 1 and
     cot u - u / sin^2 u cancel; they are formed as (u - sin u - 2u
     sin^2(u/2)) / sin u and -(2u - sin 2u) / (2 sin^2 u); formed directly,
-    the first weight is off by 57 ulps at n = 32.
+    the first weight of _TALBOT_W is off by 27 ulps (4 so).
     """
     mu, sigma, nu, c = 0.5017, 0.6122, 0.2645, 0.6407
-    theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+    h = theta_max / m
+    theta = (np.arange(m) + 0.5) * h
     u = c * theta
     sin_u = np.sin(u)
     ucot_m1 = (_y_minus_sin(u) - 2.0 * u * np.sin(0.5 * u) ** 2) / sin_u
-    s = n * ((mu / c - sigma) + (mu / c) * ucot_m1 + 1j * nu * theta)
-    ds = n * (-mu * _y_minus_sin(2.0 * u) / (2.0 * sin_u**2) + 1j * nu)
-    return np.log(s), np.exp(s) * ds * (2.0 / n)
+    s = lam * ((mu / c - sigma) + (mu / c) * ucot_m1 + 1j * nu * theta)
+    ds = lam * (-mu * _y_minus_sin(2.0 * u) / (2.0 * sin_u**2) + 1j * nu)
+    return np.log(s), np.exp(s) * ds * (h / math.pi)
 
 
-# 32 nodes.  Against a 40-digit sum of the same rule its discretization
-# error is <= 1e-16 of the value for beta <= 2 and grows with beta: 3.9e-15
-# at beta = 3 (28 nodes leave 1.2e-14 at beta = 2).  So beta is reduced to
-# <= 3, which the library's alpha + 2 never needs: each step divides the
-# bound by |z|, so at |z| ~ 1e-3 one step sends a point to _series_mp.
-# The bound counts _TALBOT_ULPS ulps of every term and _TALBOT_DISC of the
-# value for the discretization; over 10000 random (alpha, beta <= 6, z)
-# the error against the exact series reached 0.62 of it.
-_TALBOT_LOG_S, _TALBOT_W = _talbot_rule(32)
+# The rule crosses the real axis at s = 0.171 lam, and its terms reach
+# e^(0.171 lam) |F|, while E_{alpha,1}(-x) ~ 1/(x Gamma(1 - alpha)) is far
+# smaller near alpha = 1: at the paper's lam = 32 (for 32 nodes) they left
+# E_{0.9}(-x) uncertified from x^(1/alpha) ~ 4 on.  lam = 11 makes them 35x
+# smaller; theta runs to 4.05, where Re s = -39.  With 30 nodes the rule's
+# own error stays <= 0.16 of the bound below on 880 points (alpha 0.3-1,
+# beta 0.05-3, |z|^(1/alpha) 1e-3-49; 26 nodes: 0.85), and the binary64
+# error <= 0.48 of it on 3000 random ones (alpha 0.01-1, beta <= 7,
+# |z|^(1/alpha) <= 50).  The bound counts _TALBOT_ULPS ulps of every term
+# and _TALBOT_DISC of the value.  The error grows with beta (4e-16 at
+# beta = 3, 4e-15 at 6), so beta is reduced to <= 3 first.
+_TALBOT_LOG_S, _TALBOT_W = _talbot_rule(11.0, 4.05, 30)
 _TALBOT_ULPS = 2.0
 _TALBOT_DISC = 1e-14
 
@@ -372,10 +383,11 @@ def _contour(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
 
     The trapezoidal rule on the Talbot contour inverts the Laplace transform
     s^(a-b) / (s^a - z) of t^(b-1) E_{a,b}(z t^a) at t = 1; for z < 0 and
-    a <= 1 it has no pole on the principal sheet, so there are no residues
-    to add.  beta is first reduced to <= 3 (the rule's error grows with it)
-    by E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, each step dividing the
-    error bound by |z|.  A point whose bound exceeds tol/4 of its value
+    a < 1 it has no pole on the principal sheet, so there are no residues
+    to add; at a = 1 the pole s = z lies inside the contour.  beta is first
+    reduced to <= 3 (the rule's error grows with it) by E_{a,b}(z) =
+    (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, each step dividing the error bound
+    by |z|.  A point whose bound exceeds tol/4 of its value
     takes the extended-precision series (_series_mp) instead.
     """
     bb, steps = b, 0
@@ -412,14 +424,16 @@ def mittag_leffler(p: MLParams, z: float) -> float:
       / alpha plus the algebraic tail below.
     * z < 0, alpha < 1 and |z|^(1/alpha) > 50: the algebraic asymptotic tail
       -sum_{k>=1} z^-k / Gamma(beta - alpha k), truncated at its smallest
-      term.
+      term; a point whose terms neither fall below tol of the sum nor pass
+      their smallest within the tail's table takes the contour below.
     * every other z < 0, alpha = 1 included: the trapezoidal rule on a fixed
       Talbot contour for the inverse Laplace transform, beta first reduced
       to <= 3 by E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.  A point whose
-      error bound exceeds tol/4 of its value (near a zero of E, where E is
-      far below the contour's terms at alpha ~ 1, and at tiny |z| after the
-      reduction) takes the series in extended precision instead, scaled to
-      the cancellation size |z|^(1/alpha).
+      error bound exceeds tol/4 of its value (near a zero of E; where E is
+      far below the contour's terms, as E_1(-x) = exp(-x) from x ~ 8 on and
+      E_{alpha,beta} for beta near 0; at tiny |z| after the reduction) takes
+      the series in extended precision instead, scaled to the cancellation
+      size |z|^(1/alpha).
 
     Raises ValueError for a non-finite z and OverflowError when z**(1/alpha)
     exceeds the floating range.
@@ -469,7 +483,9 @@ def ml_array(alpha: float, z, beta: float = 1.0, tol: float = 1e-12) -> np.ndarr
     # at alpha = 1 every algebraic term sits on a Gamma pole: no tail
     tail = (a < 1.0) & (np.log(-zn) > a * math.log(_TAIL_CUT))
     if tail.any():
-        out[neg[tail]] = _algebraic_tail(a, b, zn[tail], tol)
+        val, converged = _algebraic_tail(a, b, zn[tail], tol)
+        out[neg[tail]] = val
+        tail[tail] = converged  # the contour takes the rest
     near = neg[~tail]
     for sl in _blocks(len(near), 6 * len(_TALBOT_W)):
         out[near[sl]] = _contour(a, b, flat[near[sl]], tol)

@@ -88,7 +88,8 @@ def test_branch_agreement_near_switch(alpha, beta):
     from fracspec.fraccalc import _algebraic_tail, _contour
 
     for z in (-41.0, -55.0):
-        asym = _algebraic_tail(alpha, beta, z, 1e-12)
+        asym, converged = _algebraic_tail(alpha, beta, z, 1e-12)
+        assert converged
         robust = _contour(alpha, beta, np.array([z]), 1e-12)[0]
         assert asym == pytest.approx(robust, rel=5e-11)
 
@@ -212,7 +213,7 @@ def test_ml_array_overflow_signalled():
 
 
 def test_ml_array_memory_bounded():
-    # the contour takes 16 complex nodes per point and the algebraic tail up
+    # the contour takes 30 complex nodes per point and the algebraic tail up
     # to 399 terms (a = 0.5 sends |z| > 7.07 there); both are held a block
     # at a time, escalation to mpmath included, so only arrays of a few
     # doubles per point grow with the point count
@@ -263,10 +264,11 @@ def test_contour_library_betas(alpha):
             assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (beta, z)
 
 
-@pytest.mark.parametrize("beta", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("beta", [3.0, 4.0, 6.0, 8.0, 10.0])
 def test_contour_reduces_large_beta(beta):
-    # the contour's own error grows with beta (1e-11 at beta = 6 on these
-    # points); the recurrence brings beta to <= 3 first
+    # the contour's own error grows with beta: unreduced, it reads 3e-15 at
+    # beta = 6, 1e-11 at 8 and 7e-8 at 10 on these points; the recurrence
+    # brings beta to <= 3 first
     for alpha in (0.3, 0.5, 0.9):
         for z in (-0.5, -2.0, -3.0):
             assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (alpha, z)
@@ -280,6 +282,43 @@ def test_tail_just_past_the_cut(alpha):
         for s in (50.001, 52.0):
             z = -(s**alpha)
             assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (beta, z)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.01, 1.0), (0.02, 0.05)])
+def test_tail_just_past_the_cut_small_alpha(alpha, beta):
+    # below alpha ~ 0.13 the tail needs more than 399 terms at the cut (its
+    # smallest lies near k = 50/alpha), so its table grows to 50/alpha
+    # terms (399 leave E_{0.01,0.05}(-50.001^0.01) 4e-6 off).  The tail
+    # itself converges: behind it the contour hands E_{0.01,0.05} to the
+    # extended-precision series, |z|^(1/alpha) / alpha terms a point
+    from fracspec.fraccalc import _algebraic_tail
+
+    z = -(50.001**alpha)
+    expected = ml_reference(alpha, beta, z)
+    asym, converged = _algebraic_tail(alpha, beta, z, 1e-12)
+    assert converged
+    assert abs(asym / expected - 1.0) <= 1e-12
+    assert abs(ml(alpha, z, beta) / expected - 1.0) <= 1e-12
+
+
+def test_unconverged_tail_points_take_the_contour(monkeypatch):
+    # a tail point that reports no convergence is served by the contour
+    # route instead, in a batch with converged ones
+    from fracspec import fraccalc
+
+    tail = fraccalc._algebraic_tail
+
+    def half_converged(a, b, z, tol):
+        val, converged = tail(a, b, z, tol)
+        converged[::2] = False
+        return val * 2.0, converged  # the unconverged values must not be used
+
+    monkeypatch.setattr(fraccalc, "_algebraic_tail", half_converged)
+    z = -np.array([60.0, 70.0, 80.0]) ** 0.9
+    got = ml_array(0.9, z)
+    assert got[1] == 2.0 * tail(0.9, 1.0, z[1], 1e-12)[0]
+    for zi in z[::2]:
+        assert abs(ml(0.9, zi) / ml_reference(0.9, 1.0, zi) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha,beta,z", [(0.7, 0.4, -1.0), (0.999, 1.0, -39.0)])
@@ -299,8 +338,9 @@ def test_escalated_points(alpha, beta, z, monkeypatch):
 
 def test_mpmath_imported_only_by_the_fallback():
     # import fracspec and an oracle-shaped sweep (relaxations, the
-    # variation-of-constants weights, the Yosida kernels) run without
-    # mpmath; the first point the contour hands on imports it
+    # variation-of-constants weights, the Yosida kernels, alpha = 0.9 among
+    # them) run without mpmath; the first point the contour hands on
+    # imports it
     code = """
 import sys
 import numpy as np
@@ -317,6 +357,8 @@ for k in range(1, 5):
     fode.variation_of_constants(lam, f, 0.5)
 for n in (10, 100, 1000):
     convolve(f, Kernel.kn(0.5, n))
+convolve(f, Kernel.kn(0.9, 10))  # alpha near 1: |z|^(1/alpha) up to 13
+ml_array(0.9, -4 * np.pi**2 * g.nodes**0.9)
 fode.variation_of_constants(np.pi**2, GridSeries(TimeGrid(1.0, 128), np.ones(129)), 0.97)
 fode.variation_of_constants(1e-6, f, 0.5)  # |z| <= 1e-6 at beta = alpha + 2
 print("mpmath" in sys.modules)
