@@ -4,12 +4,10 @@ diffusion problems with time-dependent variable coefficients."""
 from .fraccalc import (
     GridSeries,
     Kernel,
-    MLParams,
     TimeGrid,
     caputo_derivative,
     convolve,
     integration_by_parts_residual,
-    mittag_leffler,
     ml,
     ml_array,
     rl_derivative,
@@ -22,12 +20,10 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSeries",
     "Kernel",
-    "MLParams",
     "TimeGrid",
     "caputo_derivative",
     "convolve",
     "integration_by_parts_residual",
-    "mittag_leffler",
     "ml",
     "ml_array",
     "rl_derivative",

@@ -187,10 +187,9 @@ class _Parser:
     atom   := NUMBER | "pi" | VAR | FUNC "(" expr ")" | "(" expr ")"
     """
 
-    def __init__(self, source: str, variables):
+    def __init__(self, source: str):
         self.tokens = list(_tokenize(source))
         self.pos = 0
-        self.variables = tuple(variables)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -263,7 +262,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(text, arg)
-            if text in self.variables:
+            if text in DEFAULT_VARIABLES:
                 return Var(text)
             raise ExprSyntaxError(f"unknown identifier {text!r}", off)
         if kind == "op" and text == "(":
@@ -274,9 +273,10 @@ class _Parser:
         raise ExprSyntaxError(f"expected a number, name or '(', got {what}", off)
 
 
-def parse(source: str, variables=DEFAULT_VARIABLES) -> Expr:
-    """Parse UTF-8 text into an Expr; raises ExprSyntaxError with offset."""
-    return _Parser(source, variables).parse()
+def parse(source: str) -> Expr:
+    """Parse UTF-8 text over the variables t, x, y (DEFAULT_VARIABLES) into
+    an Expr; raises ExprSyntaxError with offset."""
+    return _Parser(source).parse()
 
 
 def variables_of(e: Expr) -> set:
@@ -487,38 +487,38 @@ class CoefficientField:
                 f"field uses variables {sorted(names - allowed)} outside {sorted(allowed)}"
             )
 
-    def sample(self, samples: int = SUP_SAMPLES_PER_AXIS) -> np.ndarray:
-        """Values on the tensor grid of samples points per axis over
-        [0, T] x box, indexed (t, x[, y]).
+    def sample(self) -> np.ndarray:
+        """Values on the tensor grid of SUP_SAMPLES_PER_AXIS points per axis
+        over [0, T] x box, indexed (t, x[, y]).
 
         The expression is evaluated on open (sparse) grids, so a factor in
-        one variable costs samples points, and the result is broadcast to the
-        full grid as a read-only view.
+        one variable costs SUP_SAMPLES_PER_AXIS points, and the result is
+        broadcast to the full grid as a read-only view.
         """
-        axes = [np.linspace(0.0, self.horizon, samples)]
-        axes += [np.linspace(0.0, L, samples) for L in self.lengths]
+        axes = [np.linspace(0.0, self.horizon, SUP_SAMPLES_PER_AXIS)]
+        axes += [np.linspace(0.0, L, SUP_SAMPLES_PER_AXIS) for L in self.lengths]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         out = evaluate(self.expr, **dict(zip(("t", "x", "y"), grids)))
-        return np.broadcast_to(np.asarray(out, dtype=float), (samples,) * len(axes))
+        return np.broadcast_to(np.asarray(out, dtype=float), (SUP_SAMPLES_PER_AXIS,) * len(axes))
 
 
-def sup_bound(field: CoefficientField, samples: int = SUP_SAMPLES_PER_AXIS) -> float:
+def sup_bound(field: CoefficientField) -> float:
     """Sampled sup of |field| on its box x [0, T], inflated by 1.05.
 
     The safety factor guards against inter-sample maxima of the smooth fields
     the language can express; assembly grids no finer than the sampling grid
     stay below the bound.
     """
-    vals = field.sample(samples)
+    vals = field.sample()
     if not np.all(np.isfinite(vals)):
         raise ExprDomainError("field is not finite on its declared box", field.expr)
     return SAFETY_FACTOR * float(np.max(np.abs(vals)))
 
 
-def sup_bound_vector(fields, samples: int = SUP_SAMPLES_PER_AXIS) -> float:
+def sup_bound_vector(fields) -> float:
     """Sampled sup of the Euclidean magnitude of a vector of fields."""
     fields = list(fields)
     if not fields:
         return 0.0
-    sq = sum(f.sample(samples) ** 2 for f in fields)
+    sq = sum(f.sample() ** 2 for f in fields)
     return SAFETY_FACTOR * float(np.sqrt(np.max(sq)))

@@ -42,7 +42,6 @@ from .fraccalc import (
 
 __all__ = [
     "FractionalIVP",
-    "PicardConfig",
     "ModalTrajectory",
     "PicardLog",
     "PicardDivergenceError",
@@ -60,6 +59,10 @@ _LEAF = 64
 
 # max_operator_norm takes one SVD per this many nodes to bound the others
 _STRIDE = 32
+
+# picard_solve returns its solution only if the fixed-point residual is at
+# most this much of max(1, ||c||)
+_PICARD_TOL = 1e-10
 
 
 class PicardDivergenceError(RuntimeError):
@@ -108,7 +111,8 @@ class FractionalIVP:
         if A.shape[1] != A.shape[2] or A.shape[1] != f.shape[1]:
             raise ValueError(f"incompatible shapes A {A.shape}, f {f.shape}")
         # min and max propagate NaN and reach +-inf without an (M+1) N^2 mask
-        if A.size and not all(math.isfinite(x) for x in (A.min(), A.max(), f.min(), f.max())):
+        nodes = _distinct_nodes(A)
+        if A.size and not all(math.isfinite(x) for x in (nodes.min(), nodes.max(), f.min(), f.max())):
             raise ValueError("A and f must be finite")
         A = A.view()
         f = f.view()
@@ -120,18 +124,6 @@ class FractionalIVP:
     @property
     def N(self) -> int:
         return self.A.shape[1]
-
-
-@dataclass(frozen=True)
-class PicardConfig:
-    """tol bounds the fixed-point residual of picard_solve's solution relative
-    to max(1, ||c||)."""
-
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +157,12 @@ class PicardLog:
 
     iterations: int
     residual: float
+
+
+def _distinct_nodes(A: np.ndarray) -> np.ndarray:
+    """A, or its first node when A is a broadcast in time (A.strides[0] == 0):
+    a reduction over every entry of A then reads one node, not M+1 copies."""
+    return A[:1] if A.strides[0] == 0 else A
 
 
 def _sup_norm(values: np.ndarray) -> float:
@@ -274,7 +272,8 @@ def _implicit_march(
     M, N = ivp.grid.M, ivp.N
     # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
     # counting them allocates nothing the size of A
-    diag_only = np.count_nonzero(ivp.A) == np.count_nonzero(np.diagonal(ivp.A, axis1=1, axis2=2))
+    nodes = _distinct_nodes(ivp.A)
+    diag_only = np.count_nonzero(nodes) == np.count_nonzero(np.diagonal(nodes, axis1=1, axis2=2))
     c = np.zeros((M + 1, N))
     h = np.zeros((M + 1, N)) if volterra else c
     eye = np.eye(N)
@@ -328,7 +327,7 @@ def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
     return _fractional_integral_values(g, ivp.alpha, ivp.grid.dt)
 
 
-def picard_solve(ivp: FractionalIVP, cfg: PicardConfig = PicardConfig()) -> tuple[ModalTrajectory, PicardLog]:
+def picard_solve(ivp: FractionalIVP) -> tuple[ModalTrajectory, PicardLog]:
     """The fixed point of c = I^alpha(f - A c), with I^alpha by product
     integration: order 2 for smooth solutions, independent of the L1 scheme.
 
@@ -341,10 +340,10 @@ def picard_solve(ivp: FractionalIVP, cfg: PicardConfig = PicardConfig()) -> tupl
 
     which _implicit_march solves directly for any step size.  The solution is
     returned only if its fixed-point residual, by one application of
-    picard_apply, is <= tol max(1, ||c||); PicardDivergenceError otherwise.
-    SingularStepError names a node where sigma I + A_m is singular.  The
-    residual check costs O(N M log M) (an FFT convolution above 2048 nodes),
-    the march O(N M log^2 M).
+    picard_apply, is <= _PICARD_TOL max(1, ||c||); PicardDivergenceError
+    otherwise.  SingularStepError names a node where sigma I + A_m is
+    singular.  The residual check costs O(N M log M) (an FFT convolution
+    above 2048 nodes), the march O(N M log^2 M).
     """
     alpha = ivp.alpha
     a0, W = _pl_weights(alpha, ivp.grid.M)
@@ -352,7 +351,7 @@ def picard_solve(ivp: FractionalIVP, cfg: PicardConfig = PicardConfig()) -> tupl
     # node 0 enters through a0 alone, with g_0 = f_0 since c_0 = 0
     c = _implicit_march(ivp, sigma, W, a0[:, None] * ivp.f[0], volterra=True)
     residual = _sup_norm(c - picard_apply(ivp, c))
-    if not residual <= cfg.tol * max(1.0, _sup_norm(c)):  # a NaN fails too
+    if not residual <= _PICARD_TOL * max(1.0, _sup_norm(c)):  # a NaN fails too
         raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
     return ModalTrajectory(ivp.grid, c, alpha, "picard"), PicardLog(1, residual)
 

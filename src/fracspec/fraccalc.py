@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "TimeGrid",
     "GridSeries",
-    "MLParams",
     "Kernel",
     "gamma",
     "recip_gamma",
-    "mittag_leffler",
     "ml",
     "ml_array",
     "rl_integral",
@@ -43,6 +42,8 @@ _lgamma = math.lgamma
 
 _LN_DBL_MAX = math.log(np.finfo(float).max)  # ~709.78
 _EPS = float(np.finfo(float).eps)  # 2.2e-16
+# relative tolerance of every Mittag-Leffler branch
+_TOL = 1e-12
 _SERIES_CUT = 40.0
 # Below alpha = 1 the negative axis takes the algebraic tail once
 # |z|**(1/alpha) exceeds this; its truncation error is then ~exp(-50).
@@ -123,23 +124,6 @@ class GridSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Parameters (alpha, beta) and relative tolerance for E_{alpha,beta}."""
-
-    alpha: float
-    beta: float = 1.0
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be a positive real, got {self.beta}")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-
-
 # Every Mittag-Leffler branch evaluates its points, and every FFT convolution
 # its columns, in blocks whose temporaries fit this many bytes, sized before
 # allocating, so memory does not grow with the batch.
@@ -153,7 +137,7 @@ def _blocks(n: int, doubles_per_point: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _series_float(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
+def _series_float(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Power series with Kahan compensation at every point of the 1-d array
     z, all in (0, _SERIES_CUT].  Each point stops at its own term.
 
@@ -178,7 +162,7 @@ def _series_float(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
             t = tot + y
             comp = np.where(live, (t - tot) - y, comp)
             tot = np.where(live, t, tot)
-            live &= ~((k > k_peak) & (term < 1e-3 * tol * (tot + 1e-300)))
+            live &= ~((k > k_peak) & (term < 1e-3 * _TOL * (tot + 1e-300)))
             k += 1
         total[sl] = tot
     return total
@@ -187,25 +171,18 @@ def _series_float(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
 _TAIL_TERMS = 399
 
 
-def _algebraic_tail(a: float, b: float, z, tol: float):
-    """-sum_{k>=1} z^{-k} / Gamma(b - a k) at every point of z, each truncated
-    at its smallest term; returns (sum, converged).
+@lru_cache(maxsize=32)
+def _tail_table(a: float, b: float) -> np.ndarray:
+    """The rows (env, log_r, sign_r) of _algebraic_tail at k = 1..n_terms,
+    one read-only (3, n_terms) array.
 
-    Valid asymptotic expansion on the negative axis (|arg z| > a*pi) and the
-    algebraic correction for large positive z.  A point is converged if its
-    terms fell below tol of the sum or passed their smallest within the
-    table, whose length is _TAIL_TERMS or, below alpha ~ 0.13, _TAIL_CUT /
-    alpha: the smallest term lies near k = |z|^(1/alpha) / alpha, and at the
-    cut the terms fall below tol well before it.
+    The table has _TAIL_TERMS terms or, below alpha ~ 0.13, _TAIL_CUT /
+    alpha.  Raw term magnitudes wiggle through the Gamma poles, so
+    truncation is decided on a continuous envelope env: |1/Gamma(x)| <=
+    1/Gamma(x) for x >= 1/2 and <= Gamma(1-x)/pi below (the two agree at
+    x = 1/2).  log_r is log |1/Gamma(x)| and sign_r its sign, x = b - a k.
     """
-    zf = np.asarray(z, dtype=float)
-    flat = zf.reshape(-1)
     n_terms = max(_TAIL_TERMS, math.ceil(_TAIL_CUT / a))
-    # Raw term magnitudes wiggle through the Gamma poles, so truncation is
-    # decided on a continuous envelope: |1/Gamma(x)| <= 1/Gamma(x) for
-    # x >= 1/2 and <= Gamma(1-x)/pi below (the two agree at x = 1/2).
-    # env, log_r (log |1/Gamma(x)|) and sign_r depend on k only: one table
-    # serves every point.
     env, log_r, sign_r = [], [], []
     for k in range(1, n_terms + 1):
         x = b - a * k
@@ -220,7 +197,28 @@ def _algebraic_tail(a: float, b: float, z, tol: float):
             s = math.sin(math.pi * x)
             log_r.append(_lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi))
             sign_r.append(math.copysign(1.0, s))
-    env = np.array(env)
+    table = np.array([env, log_r, sign_r])
+    table.flags.writeable = False
+    return table
+
+
+def _algebraic_tail(a: float, b: float, z):
+    """-sum_{k>=1} z^{-k} / Gamma(b - a k) at every point of z, each truncated
+    at its smallest term; returns (sum, converged).
+
+    Valid asymptotic expansion on the negative axis (|arg z| > a*pi) and the
+    algebraic correction for large positive z.  A point is converged if its
+    terms fell below _TOL of the sum or passed their smallest within the
+    table (_tail_table, one per (a, b)): the smallest term lies near
+    k = |z|^(1/alpha) / alpha, and at the cut the terms fall below _TOL
+    well before it.
+    """
+    zf = np.asarray(z, dtype=float)
+    flat = zf.reshape(-1)
+    env, log_r, sign_r = _tail_table(a, b)
+    # as Python floats: the term loop below reads one entry at a time
+    log_r, sign_r = log_r.tolist(), sign_r.tolist()
+    n_terms = len(env)
     ks = np.arange(1.0, n_terms + 1.0)
     out = np.empty(flat.shape)
     converged = np.empty(flat.shape, dtype=bool)
@@ -256,7 +254,7 @@ def _algebraic_tail(a: float, b: float, z, tol: float):
             # stop on the sine-free envelope: raw magnitudes dip spuriously near
             # the poles and would truncate the series early
             env_k = np.exp(np.minimum(lenv[:, k - 1], 700.0))
-            small = env_k < 1e-4 * tol * (np.abs(total) + 1e-300)
+            small = env_k < 1e-4 * _TOL * (np.abs(total) + 1e-300)
             passed |= live & small
             live &= ~small
         out[sl] = total
@@ -264,7 +262,7 @@ def _algebraic_tail(a: float, b: float, z, tol: float):
     return out.reshape(zf.shape)[()], converged.reshape(zf.shape)[()]
 
 
-def _asymptotic_pos(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
+def _asymptotic_pos(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Exponential leading term plus algebraic correction for z > +cut."""
     llead = z ** (1.0 / a) + ((1.0 - b) / a) * np.log(z) - math.log(a)
     over = llead > _LN_DBL_MAX
@@ -273,7 +271,7 @@ def _asymptotic_pos(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray
             f"E_{{{a},{b}}}({z[over][0]}): z**(1/alpha) exceeds the floating range"
         )
     # the leading term exceeds exp(40): the tail's truncation does not show
-    return np.exp(llead) + _algebraic_tail(a, b, z, tol)[0]
+    return np.exp(llead) + _algebraic_tail(a, b, z)[0]
 
 
 def _series_mp(a: float, b: float, z):
@@ -378,7 +376,7 @@ _TALBOT_ULPS = 2.0
 _TALBOT_DISC = 1e-14
 
 
-def _contour(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
+def _contour(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """E_{a,b}(z) at every point of a block of z < 0.
 
     The trapezoidal rule on the Talbot contour inverts the Laplace transform
@@ -387,7 +385,7 @@ def _contour(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
     to add; at a = 1 the pole s = z lies inside the contour.  beta is first
     reduced to <= 3 (the rule's error grows with it) by E_{a,b}(z) =
     (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, each step dividing the error bound
-    by |z|.  A point whose bound exceeds tol/4 of its value
+    by |z|.  A point whose bound exceeds _TOL/4 of its value
     takes the extended-precision series (_series_mp) instead.
     """
     bb, steps = b, 0
@@ -407,16 +405,24 @@ def _contour(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
             err = (err + 6.0 * _EPS * (np.abs(val) + abs(rg))) / -z
             val = (val - rg) / z
             bb += a
-        certified = err <= 0.25 * tol * np.abs(val)
+        certified = err <= 0.25 * _TOL * np.abs(val)
     if not certified.all():
         val[~certified] = _series_mp(a, b, z[~certified])
     return val
 
 
-def mittag_leffler(p: MLParams, z: float) -> float:
-    """E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta), real z.
+def ml(alpha: float, z: float, beta: float = 1.0) -> float:
+    """E_{alpha,beta}(z) at one real z: the one-point case of :func:`ml_array`."""
+    return float(ml_array(alpha, z, beta))
 
-    The one-point case of :func:`ml_array`.  Each argument takes one branch:
+
+def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
+    """E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta) at every
+    element of the real z, as an array of z's shape.
+
+    alpha lies in (0, 1] and beta is a positive real.  Each element takes one
+    branch, and every branch runs once over all of its points, in blocks of
+    bounded memory, truncating or certifying at the relative tolerance _TOL:
 
     * z = 0: 1/Gamma(beta).
     * 0 < z <= 40: the power series in binary64 with compensated summation.
@@ -424,38 +430,26 @@ def mittag_leffler(p: MLParams, z: float) -> float:
       / alpha plus the algebraic tail below.
     * z < 0, alpha < 1 and |z|^(1/alpha) > 50: the algebraic asymptotic tail
       -sum_{k>=1} z^-k / Gamma(beta - alpha k), truncated at its smallest
-      term; a point whose terms neither fall below tol of the sum nor pass
+      term; a point whose terms neither fall below _TOL of the sum nor pass
       their smallest within the tail's table takes the contour below.
     * every other z < 0, alpha = 1 included: the trapezoidal rule on a fixed
       Talbot contour for the inverse Laplace transform, beta first reduced
       to <= 3 by E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.  A point whose
-      error bound exceeds tol/4 of its value (near a zero of E; where E is
+      error bound exceeds _TOL/4 of its value (near a zero of E; where E is
       far below the contour's terms, as E_1(-x) = exp(-x) from x ~ 8 on and
       E_{alpha,beta} for beta near 0; at tiny |z| after the reduction) takes
       the series in extended precision instead, scaled to the cancellation
       size |z|^(1/alpha).
 
-    Raises ValueError for a non-finite z and OverflowError when z**(1/alpha)
-    exceeds the floating range.
+    Raises ValueError for alpha or beta out of range or any element that is
+    not finite, and OverflowError if z**(1/alpha) exceeds the floating range
+    at any positive element.
     """
-    return float(ml_array(p.alpha, z, p.beta, p.tol))
-
-
-def ml(alpha: float, z: float, beta: float = 1.0, tol: float = 1e-12) -> float:
-    """:func:`mittag_leffler` with the parameters passed one by one."""
-    return float(ml_array(alpha, z, beta, tol))
-
-
-def ml_array(alpha: float, z, beta: float = 1.0, tol: float = 1e-12) -> np.ndarray:
-    """E_{alpha,beta} at every element of z, as an array of z's shape.
-
-    The branches are those listed in :func:`mittag_leffler`; every branch runs
-    once over all of its points, in blocks of bounded memory.  Raises
-    ValueError if any element is not finite and OverflowError if z**(1/alpha)
-    exceeds the floating range at any positive element.
-    """
-    p = MLParams(alpha, beta, tol)
-    a, b, tol = p.alpha, p.beta, p.tol
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be a positive real, got {beta}")
+    a, b = alpha, beta
     zf = np.asarray(z, dtype=float)
     finite = np.isfinite(zf)
     if not finite.all():
@@ -475,20 +469,20 @@ def ml_array(alpha: float, z, beta: float = 1.0, tol: float = 1e-12) -> np.ndarr
             f"E_{{{a},{b}}}({zp[over][0]}): z**(1/alpha) exceeds the floating range"
         )
     if not small.all():
-        out[pos[~small]] = _asymptotic_pos(a, b, zp[~small], tol)
+        out[pos[~small]] = _asymptotic_pos(a, b, zp[~small])
     if small.any():
-        out[pos[small]] = _series_float(a, b, zp[small], tol)
+        out[pos[small]] = _series_float(a, b, zp[small])
 
     zn = flat[neg]
     # at alpha = 1 every algebraic term sits on a Gamma pole: no tail
     tail = (a < 1.0) & (np.log(-zn) > a * math.log(_TAIL_CUT))
     if tail.any():
-        val, converged = _algebraic_tail(a, b, zn[tail], tol)
+        val, converged = _algebraic_tail(a, b, zn[tail])
         out[neg[tail]] = val
         tail[tail] = converged  # the contour takes the rest
     near = neg[~tail]
     for sl in _blocks(len(near), 6 * len(_TALBOT_W)):
-        out[near[sl]] = _contour(a, b, flat[near[sl]], tol)
+        out[near[sl]] = _contour(a, b, flat[near[sl]])
     return out.reshape(zf.shape)
 
 
@@ -708,13 +702,12 @@ _G2 = 0.5 / math.sqrt(3.0)
 _GAUSS2 = (0.5 - _G2, 0.5 + _G2)  # 2-point Gauss nodes on (0, 1)
 
 
-def _yosida_kernel_values(alpha: float, n: int, s: np.ndarray, tol: float) -> np.ndarray:
+def _yosida_kernel_values(alpha: float, n: int, s: np.ndarray) -> np.ndarray:
     """k_n(s) = n * E_alpha(-n s^alpha) elementwise."""
-    return n * ml_array(alpha, -n * (np.maximum(s, 0.0) ** alpha), 1.0, tol)
+    return n * ml_array(alpha, -n * (np.maximum(s, 0.0) ** alpha))
 
 
-def _convolve_kn(f_vals: np.ndarray, alpha: float, n: int, grid: TimeGrid,
-                 tol: float = 1e-12) -> np.ndarray:
+def _convolve_kn(f_vals: np.ndarray, alpha: float, n: int, grid: TimeGrid) -> np.ndarray:
     """(k_n * f)(t_m): composite 2-point Gauss per cell against linear f.
 
     k_n drops from n to O(1) over a layer of width ~ n^(-1/alpha); the cell
@@ -725,8 +718,8 @@ def _convolve_kn(f_vals: np.ndarray, alpha: float, n: int, grid: TimeGrid,
     dt = grid.dt
     gm, gp = _GAUSS2
     r = np.arange(1.0, M + 1.0)
-    kp = _yosida_kernel_values(alpha, n, (r - gp) * dt, tol)
-    km = _yosida_kernel_values(alpha, n, (r - gm) * dt, tol)
+    kp = _yosida_kernel_values(alpha, n, (r - gp) * dt)
+    km = _yosida_kernel_values(alpha, n, (r - gm) * dt)
     kp[0] = 0.0  # diagonal cell handled separately on graded subcells
     km[0] = 0.0
 
@@ -745,7 +738,7 @@ def _convolve_kn(f_vals: np.ndarray, alpha: float, n: int, grid: TimeGrid,
     halfs = 0.5 * (edges[1:] - edges[:-1])
     snod = np.concatenate([mids - halfs / math.sqrt(3.0), mids + halfs / math.sqrt(3.0)])
     swgt = np.concatenate([halfs, halfs])
-    kvals = _yosida_kernel_values(alpha, n, snod, tol)
+    kvals = _yosida_kernel_values(alpha, n, snod)
     w_right = float(np.dot(swgt, kvals * (1.0 - snod / dt)))  # weight of f_m
     w_left = float(np.dot(swgt, kvals * (snod / dt)))         # weight of f_{m-1}
     out[1:] += w_right * flat[1:] + w_left * flat[:-1]

@@ -10,8 +10,8 @@ forms are immutable; assembly at distinct times is a pure function and may run
 concurrently.
 
 Two bounded LRU caches keep what does not depend on t.  _tabulate holds the
-per-axis sine tables of a (basis, quadrature) pair.  _plan holds, per (basis,
-quadrature, coefficient expressions), each coefficient split into terms
+per-axis sine tables of a basis on its quadrature grid.  _plan holds, per
+(basis, coefficient expressions), each coefficient split into terms
 g(t) h(x, y) with every t-free factor h sampled and contracted once (sum
 factorisation on the sine basis), plus the validated coefficient names and
 the constant-diagonal case.  Coefficients are keyed by value, so a dict
@@ -42,13 +42,11 @@ from .exprfield import (
 __all__ = [
     "DomainGeometry",
     "SpectralBasis",
-    "QuadratureRule",
     "AssembledForm",
     "ModalVector",
     "EllipticityReport",
     "EllipticityError",
     "build_basis",
-    "default_quadrature",
     "assemble",
     "check_ellipticity",
     "garding_constants",
@@ -120,35 +118,21 @@ def build_basis(geom: DomainGeometry, N: int) -> SpectralBasis:
     return SpectralBasis(geom, N, tuple(m for _, m in chosen), np.array([l for l, _ in chosen]))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Gauss-Legendre rule: P panels per axis, G points per panel."""
+def _gauss_nodes(k: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the assembly rule on (0, L): composite
+    Gauss-Legendre with 4 points per panel and 4k panels, at least 16.
 
-    panels: int
-    points: int = 4
-
-    def __post_init__(self):
-        if self.panels < 1 or self.points < 1:
-            raise ValueError("panels and points per panel must be >= 1")
-
-    def nodes_1d(self, L: float) -> tuple[np.ndarray, np.ndarray]:
-        gx, gw = np.polynomial.legendre.leggauss(self.points)
-        edges = np.linspace(0.0, L, self.panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        wts = (half[:, None] * gw[None, :]).ravel()
-        return pts, wts
-
-
-def default_quadrature(N: int) -> QuadratureRule:
-    """Default assembly rule: 4N panels, at least 16, 4 Gauss points per panel.
-
-    N is the largest mode index on the axis the rule serves.  The floor keeps
+    k is the largest mode index on the axis the rule serves.  The floor keeps
     variable coefficients resolved when few modes are wanted: at 2-D N = 1
     the 4-panel rule reached only ~3e-9 relative accuracy on smooth fields.
     """
-    return QuadratureRule(max(4 * N, 16), 4)
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(0.0, L, max(4 * k, 16) + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    wts = (half[:, None] * gw[None, :]).ravel()
+    return pts, wts
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,19 +197,19 @@ class _Tabulation:
 
     Axis a tabulates sqrt(2/L) sin(k pi x / L) and its derivative for
     k = 1..k_a only, k_a the largest index of that axis among the basis modes,
-    on default_quadrature(k_a) unless quad is given.  Grid arrays are laid out
-    in contraction order, the axis with fewer modes first: the first
-    contraction's (rest, k, P) intermediate is then the small one.
+    on _gauss_nodes(k_a).  Grid arrays are laid out in contraction order, the
+    axis with fewer modes first: the first contraction's (rest, k, P)
+    intermediate is then the small one.
     """
 
-    def __init__(self, basis: SpectralBasis, quad):
+    def __init__(self, basis: SpectralBasis):
         geom = basis.geometry
         idx = np.array(basis.modes).reshape(basis.N, geom.dim) - 1
         kmax = idx.max(axis=0) + 1
         self.order = tuple(int(a) for a in np.argsort(kmax, kind="stable"))
         self.pts, self.wts, self.values, self.derivs = [], [], [], []
         for L, k_a in zip(geom.lengths, kmax):
-            pts, wts = (default_quadrature(int(k_a)) if quad is None else quad).nodes_1d(L)
+            pts, wts = _gauss_nodes(int(k_a), L)
             k = np.arange(1, k_a + 1, dtype=float)[:, None]
             amp = math.sqrt(2.0 / L)
             self.pts.append(pts)
@@ -260,8 +244,8 @@ class _Tabulation:
 
 
 @lru_cache(maxsize=16)
-def _tabulate(basis: SpectralBasis, quad) -> _Tabulation:
-    return _Tabulation(basis, quad)
+def _tabulate(basis: SpectralBasis) -> _Tabulation:
+    return _Tabulation(basis)
 
 
 def _expr(fieldlike):
@@ -341,7 +325,7 @@ def _split(e) -> tuple[list, list]:
 
 
 class _Plan:
-    """The part of assemble that does not depend on t, for one (basis, quad, coeffs).
+    """The part of assemble that does not depend on t, for one (basis, coeffs).
 
     Each coefficient is split by _split.  The t-free factors h are sampled
     on the quadrature grid and contracted once; the terms of each distinct
@@ -352,7 +336,7 @@ class _Plan:
     instead the exact diagonal.
     """
 
-    def __init__(self, basis: SpectralBasis, quad, coeffs: dict):
+    def __init__(self, basis: SpectralBasis, coeffs: dict):
         dim = basis.geometry.dim
         present = _present(coeffs, dim)
         self.diffusion = _diffusion(present, dim)
@@ -374,7 +358,7 @@ class _Plan:
             self.diagonal = np.diag(abar * basis.eigenvalues + consts.get("c", 0.0))
             return
 
-        tab = self.tab = _tabulate(basis, quad)
+        tab = self.tab = _tabulate(basis)
         self.n = basis.N
         self.factors = {}  # g_j -> j
         K = []
@@ -421,11 +405,11 @@ class _Plan:
 
 
 @lru_cache(maxsize=16)
-def _plan(basis: SpectralBasis, quad, coeffs: tuple) -> _Plan:
-    return _Plan(basis, quad, dict(coeffs))
+def _plan(basis: SpectralBasis, coeffs: tuple) -> _Plan:
+    return _Plan(basis, dict(coeffs))
 
 
-def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
+def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     """Form matrix and load at time t.
 
     coeffs maps "a11" ("a12", "a22" when 2d), optional "b1" ("b2") and "c"
@@ -437,7 +421,7 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
     Constant-coefficient diagonal case (constant a, c; no b) is assembled
     exactly from orthonormality, so single-mode problems decouple exactly.
 
-    What does not depend on t is done once per (basis, quad, coefficient
+    What does not depend on t is done once per (basis, coefficient
     expressions) and kept in a small LRU keyed by value, so a coefficient
     replaced in the same dict gets a new plan (see _Plan): each coefficient
     is split into terms g(t) h(x, y), the t-free factors h are contracted
@@ -451,7 +435,7 @@ def assemble(basis, coeffs, forcing, t, quad=None) -> AssembledForm:
     for j, expr in forcing.items():
         if 1 <= j <= n:
             load[j - 1] = float(evaluate(_expr(expr), t=t))
-    plan = _plan(basis, quad, tuple((k, _expr(v)) for k, v in coeffs.items()))
+    plan = _plan(basis, tuple((k, _expr(v)) for k, v in coeffs.items()))
     return AssembledForm(t, plan.form(t), load)
 
 
@@ -463,21 +447,23 @@ class EllipticityReport:
     argmin: tuple
 
 
-def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float,
-                      samples: int = 32) -> EllipticityReport:
+_ELLIPTICITY_SAMPLES = 32
+
+
+def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float) -> EllipticityReport:
     """Sampled uniform-ellipticity check.
 
-    Samples (t, x[, y]) on a tensor grid, takes the minimum eigenvalue of the
-    symmetric coefficient matrix at each sample and passes iff the global
-    minimum is >= theta_min.  Asymmetric input is unrepresentable: only the
+    Samples (t, x[, y]) on a tensor grid of _ELLIPTICITY_SAMPLES points per
+    axis, takes the minimum eigenvalue of the symmetric coefficient matrix at
+    each sample and passes iff the global minimum is >= theta_min.  Asymmetric input is unrepresentable: only the
     upper triangle (a11, a12, a22) exists, a21 is a12 by construction.
     """
-    axes = [np.linspace(0.0, T, samples)]
-    axes += [np.linspace(0.0, L, samples) for L in geom.lengths]
+    axes = [np.linspace(0.0, T, _ELLIPTICITY_SAMPLES)]
+    axes += [np.linspace(0.0, L, _ELLIPTICITY_SAMPLES) for L in geom.lengths]
     # open grids: each coefficient is evaluated on its own axes and broadcast
     env = dict(zip(("t", "x", "y"), np.meshgrid(*axes, indexing="ij", sparse=True)))
     keys = _diffusion(_present(coeffs, geom.dim), geom.dim)
-    m = _min_eigenvalue({k: _sample(coeffs[k], (samples,) * len(axes), **env) for k in keys})
+    m = _min_eigenvalue({k: _sample(coeffs[k], (_ELLIPTICITY_SAMPLES,) * len(axes), **env) for k in keys})
     idx = np.unravel_index(int(np.argmin(m)), m.shape)
     theta_hat = float(m[idx])
     argmin = tuple(float(ax[i]) for ax, i in zip(axes, idx))
@@ -533,14 +519,14 @@ def modal_norms(v: ModalVector) -> tuple[float, float, float]:
     return math.sqrt(cc.sum()), math.sqrt(lam @ cc), math.sqrt(cc @ (1.0 / lam))
 
 
-def project(samples: np.ndarray, basis: SpectralBasis, quad: QuadratureRule = None) -> ModalVector:
-    """L2 projection onto the modal span from samples on the quadrature grid.
+def project(values: np.ndarray, basis: SpectralBasis) -> ModalVector:
+    """L2 projection onto the modal span from values on the quadrature grid.
 
     c_i = int u e_i evaluated with the assembly quadrature; idempotent within
-    quadrature tolerance.  Samples are ordered as quadrature_grid's points.
+    quadrature tolerance.  Values are ordered as quadrature_grid's points.
     """
-    tab = _tabulate(basis, quad)
-    u = np.asarray(samples, dtype=float).ravel()
+    tab = _tabulate(basis)
+    u = np.asarray(values, dtype=float).ravel()
     size = math.prod(len(p) for p in tab.pts)
     if u.size != size:
         raise ValueError(f"expected samples on the quadrature grid ({size} points), got {u.size}")
@@ -548,19 +534,19 @@ def project(samples: np.ndarray, basis: SpectralBasis, quad: QuadratureRule = No
     return ModalVector(tab.contract(u, None), basis)
 
 
-def quadrature_grid(basis: SpectralBasis, quad: QuadratureRule = None):
+def quadrature_grid(basis: SpectralBasis):
     """Points of the assembly quadrature grid (x array, or raveled (X, Y) arrays)."""
-    grids = np.meshgrid(*_tabulate(basis, quad).pts, indexing="ij")
+    grids = np.meshgrid(*_tabulate(basis).pts, indexing="ij")
     return tuple(g.ravel() for g in grids) if len(grids) > 1 else grids[0]
 
 
-def gram_matrix(basis: SpectralBasis, quad: QuadratureRule = None) -> np.ndarray:
+def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     """Quadrature Gram matrix int e_i e_j; identity up to quadrature error."""
-    tab = _tabulate(basis, quad)
+    tab = _tabulate(basis)
     return tab.contract(np.ones(tab.shape), None, None)
 
 
-def stiffness_gram(basis: SpectralBasis, quad: QuadratureRule = None) -> np.ndarray:
+def stiffness_gram(basis: SpectralBasis) -> np.ndarray:
     """Quadrature matrix int De_i . De_j; diag(lambda) up to quadrature error."""
-    tab = _tabulate(basis, quad)
+    tab = _tabulate(basis)
     return sum(tab.contract(np.ones(tab.shape), a, a) for a in tab.order)

@@ -69,9 +69,9 @@ class TestParse:
             parse("tan(x)")
 
     def test_restricted_variables(self):
-        parse("t*x", variables=("t", "x"))
-        with pytest.raises(ExprSyntaxError):
-            parse("y", variables=("t", "x"))
+        # the variables are t, x and y only
+        with pytest.raises(ExprSyntaxError, match="unknown identifier 'z'"):
+            parse("z")
 
     def test_offsets_and_messages(self):
         with pytest.raises(ExprSyntaxError) as exc:
@@ -188,7 +188,7 @@ def test_compiled_matches_tree_walk(tree, which):
 
 class TestCompiledForm:
     def test_missing_variable_named(self):
-        e = parse("1 + 2*z", variables=("t", "x", "z"))
+        e = BinOp("+", Num(1.0), Var("z"))
         with pytest.raises(ExprDomainError, match="variable 'z' has no value here") as exc:
             evaluate(e, t=1.0)
         assert exc.value.subexpr == Var("z")
@@ -266,8 +266,9 @@ class TestSupBound:
     def test_bound_dominates_assembly_samples(self):
         f = self.field("sin(3*x)*exp(t)+0.25*t", T=2.0)
         b = sup_bound(f)
-        vals = f.sample(48)  # any grid no finer than the 64-point sampling
-        assert b >= np.max(np.abs(vals))
+        # any grid no finer than the 64-point sampling
+        t, x = np.meshgrid(np.linspace(0.0, 2.0, 48), np.linspace(0.0, 1.0, 48), indexing="ij")
+        assert b >= np.max(np.abs(evaluate(f.expr, t=t, x=x)))
 
     @pytest.mark.parametrize(
         "lengths,src",
@@ -284,11 +285,11 @@ class TestSupBound:
         # sampling on open grids and broadcasting gives bit for bit the values
         # of evaluating on the full meshgrid
         f = self.field(src, lengths, T=2.0)
-        axes = [np.linspace(0.0, 2.0, 33)] + [np.linspace(0.0, L, 33) for L in lengths]
+        axes = [np.linspace(0.0, 2.0, 64)] + [np.linspace(0.0, L, 64) for L in lengths]
         grids = np.meshgrid(*axes, indexing="ij")
         dense = evaluate(f.expr, **dict(zip(("t", "x", "y"), grids)))
         dense = np.broadcast_to(np.asarray(dense, dtype=float), grids[0].shape)
-        got = f.sample(33)
+        got = f.sample()
         assert got.shape == dense.shape
         assert got.tobytes() == np.ascontiguousarray(dense).tobytes()
 

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracspec import MLParams, mittag_leffler, ml_array
+from fracspec import ml_array
 from fracspec.fraccalc import ml, recip_gamma
 
 from oracles import ml_reference
@@ -88,9 +88,9 @@ def test_branch_agreement_near_switch(alpha, beta):
     from fracspec.fraccalc import _algebraic_tail, _contour
 
     for z in (-41.0, -55.0):
-        asym, converged = _algebraic_tail(alpha, beta, z, 1e-12)
+        asym, converged = _algebraic_tail(alpha, beta, z)
         assert converged
-        robust = _contour(alpha, beta, np.array([z]), 1e-12)[0]
+        robust = _contour(alpha, beta, np.array([z]))[0]
         assert asym == pytest.approx(robust, rel=5e-11)
 
 
@@ -105,16 +105,15 @@ def test_monotone_decreasing_on_negative_axis():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        MLParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        MLParams(1.2, 1.0)
-    with pytest.raises(ValueError):
-        MLParams(0.5, -1.0)
-    with pytest.raises(ValueError):
-        MLParams(0.5, 1.0, tol=1.5)
-    with pytest.raises(ValueError):
-        mittag_leffler(MLParams(0.5, 1.0), math.inf)
+    for evaluate in (ml, ml_array):
+        with pytest.raises(ValueError, match="alpha"):
+            evaluate(0.0, -1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            evaluate(1.2, -1.0)
+        with pytest.raises(ValueError, match="beta"):
+            evaluate(0.5, -1.0, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(0.5, math.inf)
 
 
 def test_overflow_signalled():
@@ -191,7 +190,7 @@ def test_cancelled_float_series_takes_robust_route():
 
     z = np.array([-0.2, -0.677947, -0.5])
     got = ml_array(0.9, z, 0.4)
-    assert got[1] == _contour(0.9, 0.4, z[1:2], 1e-12)[0]
+    assert got[1] == _contour(0.9, 0.4, z[1:2])[0]
     for zi, gi in zip(z, got):
         assert gi == pytest.approx(ml_reference(0.9, 0.4, zi), rel=5e-12, abs=0)
 
@@ -295,7 +294,7 @@ def test_tail_just_past_the_cut_small_alpha(alpha, beta):
 
     z = -(50.001**alpha)
     expected = ml_reference(alpha, beta, z)
-    asym, converged = _algebraic_tail(alpha, beta, z, 1e-12)
+    asym, converged = _algebraic_tail(alpha, beta, z)
     assert converged
     assert abs(asym / expected - 1.0) <= 1e-12
     assert abs(ml(alpha, z, beta) / expected - 1.0) <= 1e-12
@@ -308,17 +307,32 @@ def test_unconverged_tail_points_take_the_contour(monkeypatch):
 
     tail = fraccalc._algebraic_tail
 
-    def half_converged(a, b, z, tol):
-        val, converged = tail(a, b, z, tol)
+    def half_converged(a, b, z):
+        val, converged = tail(a, b, z)
         converged[::2] = False
         return val * 2.0, converged  # the unconverged values must not be used
 
     monkeypatch.setattr(fraccalc, "_algebraic_tail", half_converged)
     z = -np.array([60.0, 70.0, 80.0]) ** 0.9
     got = ml_array(0.9, z)
-    assert got[1] == 2.0 * tail(0.9, 1.0, z[1], 1e-12)[0]
+    assert got[1] == 2.0 * tail(0.9, 1.0, z[1])[0]
     for zi in z[::2]:
         assert abs(ml(0.9, zi) / ml_reference(0.9, 1.0, zi) - 1.0) <= 1e-12
+
+
+def test_tail_table_built_once_per_parameters():
+    # the tail's 1/Gamma(beta - alpha k) table depends on (alpha, beta) only:
+    # a second call at the same parameters reuses it and returns the same bits
+    from fracspec.fraccalc import _tail_table
+
+    _tail_table.cache_clear()
+    z = -np.linspace(10.0, 40.0, 50)  # |z|^(1/alpha) >= 100: all on the tail
+    first = ml_array(0.5, z, 1.25)
+    second = ml_array(0.5, z, 1.25)
+    info = _tail_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.tobytes() == second.tobytes()
+    assert not _tail_table(0.5, 1.25).flags.writeable
 
 
 @pytest.mark.parametrize("alpha,beta,z", [(0.7, 0.4, -1.0), (0.999, 1.0, -39.0)])

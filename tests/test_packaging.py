@@ -28,16 +28,28 @@ def test_script_targets_import_and_are_callable():
         assert callable(obj), f"script {name} -> {target} is not callable"
 
 
-def test_every_source_module_imports():
-    # run against an installed copy (from outside the checkout, src not on
-    # the path), a module the build left out fails to import here
-    package_dir = pathlib.Path(importlib.import_module("fracspec").__file__).parent
+def source_modules():
+    """Every module of the package, imported by name, in path order."""
     for path in sorted(PACKAGE.rglob("*.py")):
         parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        module = importlib.import_module(".".join(parts))
+        yield importlib.import_module(".".join(parts))
+
+
+def test_every_source_module_imports():
+    # run against an installed copy (from outside the checkout, src not on
+    # the path), a module the build left out fails to import here
+    package_dir = pathlib.Path(importlib.import_module("fracspec").__file__).parent
+    for module in source_modules():
         assert pathlib.Path(module.__file__).is_relative_to(package_dir), module.__file__
+
+
+def test_every_public_name_resolves():
+    # a name left in an __all__ after its definition was removed fails here
+    for module in source_modules():
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
 
 
 def test_third_party_imports_are_declared():
