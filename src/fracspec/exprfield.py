@@ -1,18 +1,19 @@
-"""Expression language for coefficient fields and forcing amplitudes.
+"""Expression language for coefficients and forcing amplitudes.
 
 A small closed-form language over the variables t, x, y with the constant pi,
 the operators + - * / ^ (with ^ restricted to constant exponents) and the
 functions sin, cos, exp, sqrt, abs.  Problems are specified declaratively in
 text files using this grammar (given in the _Parser docstring); parsed trees
-are immutable and evaluation is pure, so fields may be shared freely across
-threads.
+are immutable and evaluation is pure, so expressions may be shared freely
+across threads.  The box and the horizon an expression is sampled on belong
+to its caller (spectral's DomainGeometry and T), not to the expression.
 
 evaluate compiles a tree into nested closures on first use and keeps the
 compiled form in a bounded LRU keyed by the tree's value (each node caches
 its own hash, so the key costs no tree walk).  The closures apply the same
 numpy operations in the same order as a walk of the tree would, with the
 domain checks (division by zero, sqrt of a negative, non-finite power or
-function values, unbound variables) on every node.
+function values, variables given no value) on every node.
 """
 
 from __future__ import annotations
@@ -30,21 +31,15 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
-    "CoefficientField",
     "ExprSyntaxError",
     "ExprDomainError",
     "parse",
     "evaluate",
     "to_source",
-    "sup_bound",
-    "sup_bound_vector",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 DEFAULT_VARIABLES = ("t", "x", "y")
-
-SAFETY_FACTOR = 1.05  # inflation applied to sampled sup bounds
-SUP_SAMPLES_PER_AXIS = 64
 
 
 class ExprSyntaxError(ValueError):
@@ -323,17 +318,17 @@ def _build(e: Expr):
         value = e.value + 0.0
         return lambda t, x, y: value
     if isinstance(e, Var):
-        if e.name == "t":
-            return lambda t, x, y: t
-        if e.name == "x":
-            return lambda t, x, y: x
-        if e.name == "y":
-            return lambda t, x, y: y
 
-        def missing(t, x, y):
+        def missing():
             raise ExprDomainError(f"variable {e.name!r} has no value here", e)
 
-        return missing
+        if e.name == "t":
+            return lambda t, x, y: missing() if t is None else t
+        if e.name == "x":
+            return lambda t, x, y: missing() if x is None else x
+        if e.name == "y":
+            return lambda t, x, y: missing() if y is None else y
+        return lambda t, x, y: missing()
     if isinstance(e, Neg):
         f = _build(e.child)
         return lambda t, x, y: -f(t, x, y)
@@ -402,12 +397,14 @@ def _compiled(e: Expr):
     return _build(e)
 
 
-def evaluate(e: Expr, t=0.0, x=0.0, y=0.0):
+def evaluate(e: Expr, t=None, x=None, y=None):
     """Evaluate at time t and spatial point (x[, y]); accepts numpy arrays.
 
-    Deterministic IEEE double evaluation with no hidden state; repeated calls
-    return bit-identical results.  The tree is compiled into closures on its
-    first evaluation and the compiled form is cached by value.
+    A variable the tree reads but the call does not give raises
+    ExprDomainError naming it; there is no default value.  Deterministic
+    IEEE double evaluation with no hidden state; repeated calls return
+    bit-identical results.  The tree is compiled into closures on its first
+    evaluation and the compiled form is cached by value.
     """
     return _compiled(e)(t, x, y)
 
@@ -456,69 +453,3 @@ def _print(e: Expr) -> tuple[str, int]:
 def to_source(e: Expr) -> str:
     """Render the tree as parseable text; parse(to_source(e)) == e."""
     return _print(e)[0]
-
-
-# ---------------------------------------------------------------------------
-# coefficient fields and sampled sup bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoefficientField:
-    """Expression plus its declared spatial box and time horizon.
-
-    lengths is the tuple of side lengths of the box (0, L1) x (0, L2); the
-    time axis is [0, T].
-    """
-
-    expr: Expr
-    lengths: tuple
-    horizon: float
-
-    def __post_init__(self):
-        if not (self.horizon > 0.0):
-            raise ValueError("horizon must be positive")
-        if not (1 <= len(self.lengths) <= 2) or any(L <= 0.0 for L in self.lengths):
-            raise ValueError("lengths must be one or two positive reals")
-        names = variables_of(self.expr)
-        allowed = {"t", "x"} | ({"y"} if len(self.lengths) == 2 else set())
-        if not names <= allowed:
-            raise ValueError(
-                f"field uses variables {sorted(names - allowed)} outside {sorted(allowed)}"
-            )
-
-    def sample(self) -> np.ndarray:
-        """Values on the tensor grid of SUP_SAMPLES_PER_AXIS points per axis
-        over [0, T] x box, indexed (t, x[, y]).
-
-        The expression is evaluated on open (sparse) grids, so a factor in
-        one variable costs SUP_SAMPLES_PER_AXIS points, and the result is
-        broadcast to the full grid as a read-only view.
-        """
-        axes = [np.linspace(0.0, self.horizon, SUP_SAMPLES_PER_AXIS)]
-        axes += [np.linspace(0.0, L, SUP_SAMPLES_PER_AXIS) for L in self.lengths]
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        out = evaluate(self.expr, **dict(zip(("t", "x", "y"), grids)))
-        return np.broadcast_to(np.asarray(out, dtype=float), (SUP_SAMPLES_PER_AXIS,) * len(axes))
-
-
-def sup_bound(field: CoefficientField) -> float:
-    """Sampled sup of |field| on its box x [0, T], inflated by 1.05.
-
-    The safety factor guards against inter-sample maxima of the smooth fields
-    the language can express; assembly grids no finer than the sampling grid
-    stay below the bound.
-    """
-    vals = field.sample()
-    if not np.all(np.isfinite(vals)):
-        raise ExprDomainError("field is not finite on its declared box", field.expr)
-    return SAFETY_FACTOR * float(np.max(np.abs(vals)))
-
-
-def sup_bound_vector(fields) -> float:
-    """Sampled sup of the Euclidean magnitude of a vector of fields."""
-    fields = list(fields)
-    if not fields:
-        return 0.0
-    sq = sum(f.sample() ** 2 for f in fields)
-    return SAFETY_FACTOR * float(np.sqrt(np.max(sq)))

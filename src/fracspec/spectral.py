@@ -18,26 +18,21 @@ the constant-diagonal case.  Coefficients are keyed by value, so a dict
 changed between calls is never served a stale plan.  At each node assemble
 evaluates the g(t), sums the contracted matrices, checks ellipticity on the
 quadrature grid, and samples and contracts whatever does not split.
+
+A coefficient is an exprfield expression in t, x (and y in 2d); a variable
+the box lacks raises where it is read.  The paper's constants (theta,
+beta/nu, C2) sample the coefficients over [0, T] x box, T and box as given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exprfield import (
-    BinOp,
-    CoefficientField,
-    Neg,
-    Num,
-    evaluate,
-    sup_bound,
-    sup_bound_vector,
-    variables_of,
-)
+from .exprfield import BinOp, ExprDomainError, Neg, Num, evaluate, variables_of
 
 __all__ = [
     "DomainGeometry",
@@ -69,8 +64,8 @@ class DomainGeometry:
 
     def __post_init__(self):
         ls = tuple(float(L) for L in self.lengths)
-        if not (1 <= len(ls) <= 2) or any(L <= 0.0 for L in ls):
-            raise ValueError("lengths must be one or two positive reals")
+        if not (1 <= len(ls) <= 2) or not all(0.0 < L < math.inf for L in ls):
+            raise ValueError(f"lengths must be one or two positive finite reals, got {self.lengths}")
         object.__setattr__(self, "lengths", ls)
 
     @property
@@ -248,21 +243,49 @@ def _tabulate(basis: SpectralBasis) -> _Tabulation:
     return _Tabulation(basis)
 
 
-def _expr(fieldlike):
-    """The expression behind a CoefficientField or a bare expression."""
-    return fieldlike.expr if isinstance(fieldlike, CoefficientField) else fieldlike
+def _sample(e, shape, **env) -> np.ndarray:
+    """Values of an expression at the points env, broadcast to shape."""
+    return np.broadcast_to(np.asarray(evaluate(e, **env), dtype=float), shape)
 
 
-def _sample(fieldlike, shape, **env) -> np.ndarray:
-    """Values of a coefficient at the points env, broadcast to shape."""
-    return np.broadcast_to(np.asarray(evaluate(_expr(fieldlike), **env), dtype=float), shape)
+def _grid(geom: DomainGeometry, T: float, n: int) -> tuple[list, dict]:
+    """n points per axis over [0, T] x box: the axes, and the open (sparse)
+    grids keyed t, x (, y) for evaluate.
+
+    An expression is evaluated on its own axes and broadcast, so a factor in
+    one variable costs n points.
+    """
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon T must be a positive finite real, got {T}")
+    axes = [np.linspace(0.0, T, n)] + [np.linspace(0.0, L, n) for L in geom.lengths]
+    return axes, dict(zip(("t", "x", "y"), np.meshgrid(*axes, indexing="ij", sparse=True)))
 
 
-def _field(fieldlike, geom: DomainGeometry, T: float) -> CoefficientField:
-    """A CoefficientField as given, or a bare expression bound to (geom, T)."""
-    if isinstance(fieldlike, CoefficientField):
-        return fieldlike
-    return CoefficientField(fieldlike, geom.lengths, T)
+# Sup bounds sample this many points per axis of [0, T] x box and inflate
+# the maximum against peaks between samples of smooth fields; assembly grids
+# no finer than the sampling grid stay below the bound.
+_SUP_SAMPLES = 64
+_SUP_INFLATION = 1.05
+
+
+def _sup_samples(e, env: dict) -> np.ndarray:
+    """Values of e on the sup grid env (from _grid with _SUP_SAMPLES points)."""
+    vals = _sample(e, (_SUP_SAMPLES,) * len(env), **env)
+    if not np.all(np.isfinite(vals)):
+        raise ExprDomainError("coefficient is not finite on [0, T] x box", e)
+    return vals
+
+
+def _sup(e, env: dict) -> float:
+    """Sampled sup of |e|, inflated."""
+    return _SUP_INFLATION * float(np.max(np.abs(_sup_samples(e, env))))
+
+
+def _sup_norm(exprs: list, env: dict) -> float:
+    """Sampled sup of the Euclidean magnitude of a vector of expressions
+    (0.0 for none), inflated."""
+    sq = sum(_sup_samples(e, env) ** 2 for e in exprs)
+    return _SUP_INFLATION * float(np.sqrt(np.max(sq)))
 
 
 def _min_eigenvalue(avals: dict) -> np.ndarray:
@@ -413,10 +436,12 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     """Form matrix and load at time t.
 
     coeffs maps "a11" ("a12", "a22" when 2d), optional "b1" ("b2") and "c"
-    to CoefficientFields or bare expressions; only the upper triangle of the
-    diffusion matrix is read, so (a_kl) is symmetric by construction.
+    to expressions in t and the box's variables; only the upper triangle of
+    the diffusion matrix is read, so (a_kl) is symmetric by construction.
     forcing maps mode indices (1-based, in eigenvalue order) to expressions
-    in t; modes above N are truncated, unlisted modes are zero.
+    in t alone; modes above N are truncated, unlisted modes are zero.  A
+    variable the box (or, in the forcing, t alone) lacks raises
+    ExprDomainError naming it.
 
     Constant-coefficient diagonal case (constant a, c; no b) is assembled
     exactly from orthonormality, so single-mode problems decouple exactly.
@@ -434,8 +459,8 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     load = np.zeros(n)
     for j, expr in forcing.items():
         if 1 <= j <= n:
-            load[j - 1] = float(evaluate(_expr(expr), t=t))
-    plan = _plan(basis, tuple((k, _expr(v)) for k, v in coeffs.items()))
+            load[j - 1] = float(evaluate(expr, t=t))
+    plan = _plan(basis, tuple(coeffs.items()))
     return AssembledForm(t, plan.form(t), load)
 
 
@@ -454,14 +479,12 @@ def check_ellipticity(coeffs, geom: DomainGeometry, T: float, theta_min: float) 
     """Sampled uniform-ellipticity check.
 
     Samples (t, x[, y]) on a tensor grid of _ELLIPTICITY_SAMPLES points per
-    axis, takes the minimum eigenvalue of the symmetric coefficient matrix at
-    each sample and passes iff the global minimum is >= theta_min.  Asymmetric input is unrepresentable: only the
-    upper triangle (a11, a12, a22) exists, a21 is a12 by construction.
+    axis over [0, T] x box, takes the minimum eigenvalue of the symmetric
+    coefficient matrix at each sample and passes iff the global minimum is
+    >= theta_min.  Asymmetric input is unrepresentable: only the upper
+    triangle (a11, a12, a22) exists, a21 is a12 by construction.
     """
-    axes = [np.linspace(0.0, T, _ELLIPTICITY_SAMPLES)]
-    axes += [np.linspace(0.0, L, _ELLIPTICITY_SAMPLES) for L in geom.lengths]
-    # open grids: each coefficient is evaluated on its own axes and broadcast
-    env = dict(zip(("t", "x", "y"), np.meshgrid(*axes, indexing="ij", sparse=True)))
+    axes, env = _grid(geom, T, _ELLIPTICITY_SAMPLES)
     keys = _diffusion(_present(coeffs, geom.dim), geom.dim)
     m = _min_eigenvalue({k: _sample(coeffs[k], (_ELLIPTICITY_SAMPLES,) * len(axes), **env) for k in keys})
     idx = np.unravel_index(int(np.argmin(m)), m.shape)
@@ -481,13 +504,14 @@ def garding_constants(coeffs, geom: DomainGeometry, theta: float, T: float) -> t
     beta = theta/2 and nu = ||b||_inf^2/(2 theta) + ||c||_inf via Young's
     inequality on a(u,u) >= theta||Du||^2 - ||b|| ||Du|| ||u|| - ||c|| ||u||^2,
     with ||b||_inf the sup of the Euclidean magnitude of the drift vector.
-    Sup bounds are sampled and carry the 1.05 inflation, which only enlarges
-    nu (safe side).
+    Sup bounds are sampled over [0, T] x geom and carry the 1.05 inflation,
+    which only enlarges nu (safe side).
     """
     if theta <= 0.0:
         raise ValueError(f"ellipticity constant theta must be positive, got {theta}")
-    bnorm = sup_bound_vector([_field(coeffs[k], geom, T) for k in _present(coeffs, geom.dim) if k[0] == "b"])
-    cnorm = sup_bound(_field(coeffs["c"], geom, T)) if "c" in coeffs else 0.0
+    env = _grid(geom, T, _SUP_SAMPLES)[1]
+    bnorm = _sup_norm([coeffs[k] for k in _present(coeffs, geom.dim) if k[0] == "b"], env)
+    cnorm = _sup(coeffs["c"], env) if "c" in coeffs else 0.0
     return 0.5 * theta, bnorm * bnorm / (2.0 * theta) + cnorm
 
 
@@ -497,13 +521,17 @@ def continuity_constant(coeffs, geom: DomainGeometry, basis: SpectralBasis, T: f
     C2 = sum ||a_kl||_inf + C_Omega sum ||b_k||_inf + C_Omega^2 ||c||_inf,
     the off-diagonal a12 counting twice (it appears as a12 and a21): each
     derivative factor of a slot is bounded by the H1_0 norm, each value
-    factor by C_Omega times it.
+    factor by C_Omega times it.  geom must be the basis's box, from which
+    C_Omega comes.
     """
+    if geom != basis.geometry:
+        raise ValueError(f"box {geom.lengths} is not the basis's box {basis.geometry.lengths}")
+    env = _grid(geom, T, _SUP_SAMPLES)[1]
     com = poincare_constant(basis)
     total = 0.0
     for key in _present(coeffs, geom.dim):
         mult = sum(com ** pair.count(None) for pair in _SLOTS[key])
-        total += mult * sup_bound(_field(coeffs[key], geom, T))
+        total += mult * _sup(coeffs[key], env)
     return total
 
 

@@ -1,4 +1,5 @@
-"""Parser, evaluator and sup-bound tests for the coefficient expression language."""
+"""Parser and evaluator tests for the coefficient expression language, and
+the sampled sup bounds spectral takes of its expressions over [0, T] x box."""
 
 import math
 import pickle
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from fracspec.exprfield import (
     BinOp,
     Call,
-    CoefficientField,
     ExprDomainError,
     ExprSyntaxError,
     Neg,
@@ -20,10 +20,9 @@ from fracspec.exprfield import (
     Var,
     evaluate,
     parse,
-    sup_bound,
-    sup_bound_vector,
     to_source,
 )
+from fracspec.spectral import _SUP_SAMPLES, DomainGeometry, _grid, _sup, _sup_norm, _sup_samples
 
 from oracles import DomainFault, tree_value
 
@@ -153,7 +152,8 @@ def test_print_parse_roundtrip(tree):
 
 _trees = st.recursive(_leaf, _combine, max_leaves=20)
 
-# scalar arguments, and arrays broadcasting over (t, x, y) as CoefficientField.sample does
+# scalar arguments, and arrays broadcasting over (t, x, y) as the open sampling
+# grids of spectral do
 _ARGS = [
     {"t": 0.3, "x": 0.7, "y": 1.9},
     {"t": 2.0, "x": -1.25, "y": 0.0},
@@ -192,13 +192,17 @@ class TestCompiledForm:
         with pytest.raises(ExprDomainError, match="variable 'z' has no value here") as exc:
             evaluate(e, t=1.0)
         assert exc.value.subexpr == Var("z")
+        # a variable of the language that the call does not give has no default
+        with pytest.raises(ExprDomainError, match="variable 'x' has no value here") as exc:
+            evaluate(parse("x + 1"))
+        assert exc.value.subexpr == Var("x")
 
     @pytest.mark.parametrize(
         "src, args, message, node",
         [
             ("1 + 1/(x - 1)", {"x": np.array([0.0, 1.0])}, "division by zero", "1/(x - 1)"),
             ("2*sqrt(t - x)", {"t": 0.5, "x": 1.0}, "sqrt of a negative value", "sqrt(t - x)"),
-            ("x + (t - 1)^0.5", {"t": 0.0}, "power produced a non-finite value", "(t - 1)^0.5"),
+            ("x + (t - 1)^0.5", {"t": 0.0, "x": 0.0}, "power produced a non-finite value", "(t - 1)^0.5"),
             ("exp(1000*t)", {"t": 1.0}, "exp produced a non-finite value", "exp(1000*t)"),
             # both operands fail: the left one, evaluated first, is named
             ("sqrt(x - 2)/sqrt(x - 3)", {"x": 1.0}, "sqrt of a negative value", "sqrt(x - 2)"),
@@ -244,31 +248,34 @@ class TestCompiledForm:
 
 
 class TestSupBound:
-    def field(self, src, lengths=(1.0,), T=1.0):
-        return CoefficientField(parse(src), lengths, T)
+    # the sampled sup bounds of spectral's constants, 1.05 times the sampled
+    # maximum on _SUP_SAMPLES points per axis of [0, T] x box
+
+    def env(self, lengths=(1.0,), T=1.0):
+        return _grid(DomainGeometry(lengths), T, _SUP_SAMPLES)[1]
 
     def test_constant(self):
-        assert sup_bound(self.field("2.5")) == pytest.approx(1.05 * 2.5, rel=1e-14)
-        assert sup_bound(self.field("-2.5")) == pytest.approx(1.05 * 2.5, rel=1e-14)
+        assert _sup(parse("2.5"), self.env()) == pytest.approx(1.05 * 2.5, rel=1e-14)
+        assert _sup(parse("-2.5"), self.env()) == pytest.approx(1.05 * 2.5, rel=1e-14)
 
     def test_sine(self):
-        b = sup_bound(self.field("sin(pi*x)"))
+        b = _sup(parse("sin(pi*x)"), self.env())
         assert 1.0 <= b <= 1.05
 
     def test_bilinear_against_dense_oracle(self):
         # brute-force dense sampling oracle at ~10^6 points
-        b = sup_bound(self.field("t*x"))
+        b = _sup(parse("t*x"), self.env())
         t = np.linspace(0.0, 1.0, 1000)
         x = np.linspace(0.0, 1.0, 1000)
         dense = np.max(np.abs(np.outer(t, x)))
         assert 0.95 * dense <= b <= 1.05 * dense + 1e-12
 
     def test_bound_dominates_assembly_samples(self):
-        f = self.field("sin(3*x)*exp(t)+0.25*t", T=2.0)
-        b = sup_bound(f)
+        e = parse("sin(3*x)*exp(t)+0.25*t")
+        b = _sup(e, self.env(T=2.0))
         # any grid no finer than the 64-point sampling
         t, x = np.meshgrid(np.linspace(0.0, 2.0, 48), np.linspace(0.0, 1.0, 48), indexing="ij")
-        assert b >= np.max(np.abs(evaluate(f.expr, t=t, x=x)))
+        assert b >= np.max(np.abs(evaluate(e, t=t, x=x)))
 
     @pytest.mark.parametrize(
         "lengths,src",
@@ -284,21 +291,21 @@ class TestSupBound:
     def test_sample_matches_dense_grid(self, lengths, src):
         # sampling on open grids and broadcasting gives bit for bit the values
         # of evaluating on the full meshgrid
-        f = self.field(src, lengths, T=2.0)
+        e = parse(src)
         axes = [np.linspace(0.0, 2.0, 64)] + [np.linspace(0.0, L, 64) for L in lengths]
         grids = np.meshgrid(*axes, indexing="ij")
-        dense = evaluate(f.expr, **dict(zip(("t", "x", "y"), grids)))
+        dense = evaluate(e, **dict(zip(("t", "x", "y"), grids)))
         dense = np.broadcast_to(np.asarray(dense, dtype=float), grids[0].shape)
-        got = f.sample()
+        got = _sup_samples(e, self.env(lengths, T=2.0))
         assert got.shape == dense.shape
         assert got.tobytes() == np.ascontiguousarray(dense).tobytes()
 
     def test_vector_bound(self):
-        f1 = self.field("3")
-        f2 = self.field("4")
-        assert sup_bound_vector([f1, f2]) == pytest.approx(1.05 * 5.0, rel=1e-13)
-        assert sup_bound_vector([]) == 0.0
+        assert _sup_norm([parse("3"), parse("4")], self.env()) == pytest.approx(1.05 * 5.0, rel=1e-13)
+        assert _sup_norm([], self.env()) == 0.0
 
     def test_rejects_wrong_variables(self):
-        with pytest.raises(ValueError):
-            CoefficientField(parse("y"), (1.0,), 1.0)
+        # y on an interval has no value: no sample reads it as 0
+        with pytest.raises(ExprDomainError, match="variable 'y' has no value here") as exc:
+            _sup(parse("y"), self.env())
+        assert exc.value.subexpr == Var("y")

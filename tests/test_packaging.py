@@ -52,6 +52,25 @@ def test_every_public_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
 
 
+def test_no_unused_imports():
+    # every name a module-level import binds is read somewhere in the module
+    # or re-exported through __all__; `from __future__` binds no name
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused = sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+        assert not unused, f"{path.relative_to(ROOT)} imports unused names: {unused}"
+
+
 def test_third_party_imports_are_declared():
     declared = {
         re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower().replace("-", "_")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracspec.exprfield import CoefficientField, ExprDomainError, evaluate, parse
+from fracspec.exprfield import ExprDomainError, Var, evaluate, parse
 from fracspec.spectral import (
     DomainGeometry,
     EllipticityError,
@@ -75,6 +75,10 @@ class TestBuildBasis:
             DomainGeometry(())
         with pytest.raises(ValueError):
             DomainGeometry((1.0, -2.0))
+        with pytest.raises(ValueError):
+            DomainGeometry((math.nan,))
+        with pytest.raises(ValueError):
+            DomainGeometry((math.inf, 1.0))
 
 
 class TestOrthonormality:
@@ -182,6 +186,12 @@ class TestAssemble:
         assert np.linalg.norm(A - ref) <= 1e-11 * np.linalg.norm(ref)
         assert [len(p) for p in _tabulate(b).pts] == [64, 64]  # 16 panels of 4 points
 
+    def test_forcing_in_space_rejected(self):
+        # regression: the load of a forcing x was its value at x = 0
+        b = build_basis(DomainGeometry((1.0,)), 4)
+        with pytest.raises(ExprDomainError, match="variable 'x' has no value here"):
+            assemble(b, {"a11": parse("1")}, {1: parse("x")}, t=0.0)
+
     def test_ellipticity_abort(self):
         b = build_basis(DomainGeometry((1.0,)), 4)
         with pytest.raises(EllipticityError):
@@ -288,11 +298,6 @@ class TestHoistedAssembly:
             ref = per_node_reference(basis, coeffs, t)
             assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_fields_and_bare_expressions_agree(self):
-        basis, coeffs = split_case("partly-2d", 8)
-        fields = {k: CoefficientField(e, (1.0, 0.7), 1.0) for k, e in coeffs.items()}
-        assert np.array_equal(assemble(basis, fields, {}, 0.4).matrix, assemble(basis, coeffs, {}, 0.4).matrix)
-
     @pytest.mark.parametrize("case", ["separable-1d", "separable-2d"])
     def test_second_node_contracts_nothing(self, case, contractions):
         basis, coeffs = split_case(case, 8)
@@ -395,6 +400,14 @@ class TestGardingConstants:
         assert beta == 0.5
         assert nu == pytest.approx(1.05**2 * 0.5, rel=1e-13)
 
+    def test_non_finite_drift_rejected(self):
+        # regression: an infinite drift sample gave nu = inf, where the same
+        # sample in c raised
+        for name in ("b1", "c"):
+            coeffs = {"a11": parse("1"), name: parse("1e200*1e200 + x")}
+            with pytest.raises(ExprDomainError, match="not finite"):
+                garding_constants(coeffs, self.geom(), 1.0, 1.0)
+
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             garding_constants({"a11": parse("1")}, self.geom(), 0.0, 1.0)
@@ -438,6 +451,15 @@ class TestGardingConstants:
                 _, wh, _ = modal_norms(ModalVector(w, basis))
                 assert abs(v @ A @ w) <= C2 * vh * wh + 1e-9
 
+    def test_continuity_constant_rejects_another_box(self):
+        # regression: sups on (0, 7) with C_Omega of a basis on (0, 1) gave
+        # C2 = 8.4 for a11 = 1 + x, where the basis's box gives 2.1
+        basis = build_basis(DomainGeometry((1.0,)), 4)
+        coeffs = {"a11": parse("1 + x")}
+        assert continuity_constant(coeffs, DomainGeometry((1.0,)), basis, 1.0) == pytest.approx(2.1, rel=1e-14)
+        with pytest.raises(ValueError, match="not the basis's box"):
+            continuity_constant(coeffs, DomainGeometry((7.0,)), basis, 1.0)
+
 
 class TestCoefficientNames:
     CALLS = {
@@ -457,6 +479,34 @@ class TestCoefficientNames:
         coeffs[name] = parse("5")
         with pytest.raises(ValueError, match="do not exist"):
             self.CALLS[call](coeffs, geom, build_basis(geom, 4))
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_rejects_variables_the_box_lacks(self, call):
+        # regression: on (0, 1), assemble and check_ellipticity read y as 0
+        # (a forcing y + 1 gave load 1.0), where the sup bounds raised
+        geom = DomainGeometry((1.0,))
+        coeffs = {"a11": parse("1 + y*y"), "c": parse("y")}
+        with pytest.raises(ExprDomainError, match="variable 'y' has no value here") as exc:
+            self.CALLS[call](coeffs, geom, build_basis(geom, 4))
+        assert exc.value.subexpr == Var("y")
+
+
+class TestHorizon:
+    CALLS = {
+        "check_ellipticity": lambda c, g, b, T: check_ellipticity(c, g, T, 0.5),
+        "garding_constants": lambda c, g, b, T: garding_constants(c, g, 1.0, T),
+        "continuity_constant": lambda c, g, b, T: continuity_constant(c, g, b, T),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_horizon(self, call, T):
+        # regression: check_ellipticity sampled t over [-1, 0] at T = -1 and
+        # gave theta_hat = nan at T = nan; garding_constants with no drift
+        # and no reaction never looked at T
+        geom = DomainGeometry((1.0,))
+        with pytest.raises(ValueError, match="horizon T must be a positive finite real"):
+            self.CALLS[call]({"a11": parse("1 + x*t")}, geom, build_basis(geom, 4), T)
 
 
 class TestModalNorms:
