@@ -265,9 +265,13 @@ def _implicit_march(
     Toeplitz product (_conv_tail), then solving the right half; blocks of at
     most _LEAF nodes march directly with the local sum.  The cost is
     O(N M log^2 M) instead of O(N M^2), and the result is the direct sum's up
-    to rounding.  Diagonal systems are solved elementwise and every column is
-    transformed alone, so decoupled modes stay exactly decoupled
-    (mode-for-mode identical across different N).
+    to rounding.  Diagonal systems are solved elementwise, with the
+    denominators sigma + diag(A_m) of a whole leaf formed and checked for a
+    zero before its first step, and every column is transformed alone, so
+    decoupled modes stay exactly decoupled (mode-for-mode identical across
+    different N).  Other systems take one dense solve per step against
+    sigma I + A_m, sigma I formed once per march, with no copy of A.
+    SingularStepError names the first node whose step matrix is singular.
     """
     M, N = ivp.grid.M, ivp.N
     # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
@@ -276,27 +280,29 @@ def _implicit_march(
     diag_only = np.count_nonzero(nodes) == np.count_nonzero(np.diagonal(nodes, axis1=1, axis2=2))
     c = np.zeros((M + 1, N))
     h = np.zeros((M + 1, N)) if volterra else c
-    eye = np.eye(N)
+    shift = sigma * np.eye(N)
 
     def march(lo: int, hi: int) -> None:
+        if diag_only:
+            diag = np.diagonal(ivp.A[lo:hi], axis1=1, axis2=2)
+            denom = sigma + diag
+            zero = denom == 0.0
+            if zero.any():
+                j, k = divmod(int(np.argmax(zero)), N)  # the first in node order
+                raise SingularStepError(
+                    f"singular implicit step at node {lo + j}: eigenvalue ~ -sigma = {-sigma}",
+                    node=lo + j,
+                    eigenvalue_estimate=float(diag[j, k]),
+                )
         for m in range(lo, hi):
             # nodes lo..m-1 here, the earlier ones in far
             hist = far[m] + kernel[1 : m - lo + 1] @ h[m - 1 : lo - 1 : -1]
             rhs = ivp.f[m] + hist
             if diag_only:
-                diag = np.diagonal(ivp.A[m])
-                denom = sigma + diag
-                if np.any(denom == 0.0):
-                    k = int(np.argmax(denom == 0.0))
-                    raise SingularStepError(
-                        f"singular implicit step at node {m}: eigenvalue ~ -sigma = {-sigma}",
-                        node=m,
-                        eigenvalue_estimate=float(diag[k]),
-                    )
-                c[m] = rhs / denom
+                c[m] = rhs / denom[m - lo]
             else:
                 try:
-                    c[m] = np.linalg.solve(sigma * eye + ivp.A[m], rhs)
+                    c[m] = np.linalg.solve(shift + ivp.A[m], rhs)
                 except np.linalg.LinAlgError:
                     eigs = np.linalg.eigvals(ivp.A[m])
                     worst = eigs[np.argmin(np.abs(eigs + sigma))]

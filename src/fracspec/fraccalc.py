@@ -202,6 +202,10 @@ def _tail_table(a: float, b: float) -> np.ndarray:
     return table
 
 
+# _algebraic_tail scans its truncation envelope this many terms at a time
+_TAIL_CHUNK = 32
+
+
 def _algebraic_tail(a: float, b: float, z):
     """-sum_{k>=1} z^{-k} / Gamma(b - a k) at every point of z, each truncated
     at its smallest term; returns (sum, converged).
@@ -212,38 +216,69 @@ def _algebraic_tail(a: float, b: float, z):
     table (_tail_table, one per (a, b)): the smallest term lies near
     k = |z|^(1/alpha) / alpha, and at the cut the terms fall below _TOL
     well before it.
+
+    A point sums its terms up to k_min, the first smallest of its log
+    envelope lenv_k = env_k - k ln|z| (stopping early once a term falls below
+    _TOL of the sum), with the minimum taken over the terms up to the first
+    one that passes it decisively: 3 above the running minimum, which has
+    then held for 4 terms, or else over the whole table.  The envelope is
+    scanned _TAIL_CHUNK terms at a time, only as far as the sum needs k_min:
+    a scanned point carries its running minimum, the k of its first
+    occurrence and the last 4 running minima from chunk to chunk, and only
+    points still summing without a passing term are scanned on.  Points go
+    in blocks sized for one chunk's temporaries, about 8 doubles a term.
     """
     zf = np.asarray(z, dtype=float)
     flat = zf.reshape(-1)
-    env, log_r, sign_r = _tail_table(a, b)
+    table = _tail_table(a, b)
     # as Python floats: the term loop below reads one entry at a time
-    log_r, sign_r = log_r.tolist(), sign_r.tolist()
+    env, log_r, sign_r = table.tolist()
     n_terms = len(env)
     ks = np.arange(1.0, n_terms + 1.0)
     out = np.empty(flat.shape)
     converged = np.empty(flat.shape, dtype=bool)
-    for sl in _blocks(len(flat), 3 * n_terms):
+    for sl in _blocks(len(flat), 8 * _TAIL_CHUNK):
         zb = flat[sl]
-        rows = np.arange(len(zb))
         ln_inv = -np.log(np.abs(zb))
-        lenv = env + ks * ln_inv[:, None]
-        # truncate at the running minimum of the envelope, scanned until it
-        # is decisively passed: 3 above the minimum, 4 or more terms on
-        run = np.minimum.accumulate(lenv, axis=1)
-        past = (lenv[:, 4:] > run[:, 4:] + 3.0) & (run[:, 4:] == run[:, :-4])
-        passed = past.any(axis=1)
-        last = np.where(passed, past.argmax(axis=1) + 4, n_terms - 1)
-        k_min = np.argmax(lenv == run[rows, last][:, None], axis=1) + 1
+        run = np.full(zb.shape, np.inf)  # running minimum of lenv
+        recent = np.full((len(zb), 4), np.nan)  # the last 4 running minima
+        k_min = np.zeros(zb.shape, dtype=np.intp)  # k of run's first occurrence
+        # a term passed run, so k_min is final, or the sum converged first
+        passed = np.zeros(zb.shape, dtype=bool)
+        scanned = 0
         odd_sign = np.where(zb > 0.0, 1.0, -1.0)
         total = np.zeros(zb.shape)
         comp = np.zeros(zb.shape)
         live = np.ones(zb.shape, dtype=bool)
-        for k in range(1, int(k_min.max()) + 1):
+        horizon = 0  # every live point's final k_min is >= k up to here
+        for k in range(1, n_terms + 2):  # no k_min exceeds n_terms
+            while k > horizon:  # scan on until k_min is known to be >= k or final
+                idx = np.flatnonzero(live & ~passed)
+                if scanned == n_terms or not len(idx):
+                    horizon = n_terms
+                    break
+                c0, scanned = scanned, min(scanned + _TAIL_CHUNK, n_terms)
+                lenv = table[0, c0:scanned] + ks[c0:scanned] * ln_inv[idx, None]
+                runs = np.minimum.accumulate(lenv, axis=1)
+                np.minimum(runs, run[idx, None], out=runs)
+                window = np.concatenate([recent[idx], runs], axis=1)
+                past = (lenv > runs + 3.0) & (runs == window[:, :-4])
+                hit = past.any(axis=1)
+                col = np.where(hit, past.argmax(axis=1), scanned - c0 - 1)
+                low = runs[np.arange(len(idx)), col]
+                first = np.argmax(lenv == low[:, None], axis=1) + (c0 + 1)
+                k_min[idx] = np.where(low < run[idx], first, k_min[idx])
+                passed[idx] = hit
+                run[idx] = runs[:, -1]
+                recent[idx] = window[:, -4:]
+                idx = idx[~hit]
+                horizon = int(k_min[idx].min()) if len(idx) else n_terms
             live &= k <= k_min
             if not live.any():
                 break
+            kl = k * ln_inv
             if sign_r[k - 1]:
-                lt = log_r[k - 1] + k * ln_inv
+                lt = log_r[k - 1] + kl
                 term = np.where(lt > -745.0, np.exp(lt), 0.0) * -sign_r[k - 1]
                 if k & 1:
                     term *= odd_sign
@@ -253,7 +288,7 @@ def _algebraic_tail(a: float, b: float, z):
                 total = np.where(live, t, total)
             # stop on the sine-free envelope: raw magnitudes dip spuriously near
             # the poles and would truncate the series early
-            env_k = np.exp(np.minimum(lenv[:, k - 1], 700.0))
+            env_k = np.exp(np.minimum(env[k - 1] + kl, 700.0))
             small = env_k < 1e-4 * _TOL * (np.abs(total) + 1e-300)
             passed |= live & small
             live &= ~small

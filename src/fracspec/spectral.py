@@ -283,9 +283,15 @@ def _sup(e, env: dict) -> float:
 
 def _sup_norm(exprs: list, env: dict) -> float:
     """Sampled sup of the Euclidean magnitude of a vector of expressions
-    (0.0 for none), inflated."""
-    sq = sum(_sup_samples(e, env) ** 2 for e in exprs)
-    return _SUP_INFLATION * float(np.sqrt(np.max(sq)))
+    (0.0 for none), inflated.  Samples whose squares overflow are scaled by
+    their largest magnitude first."""
+    samples = [_sup_samples(e, env) for e in exprs]
+    with np.errstate(over="ignore"):
+        sq = np.max(sum(v**2 for v in samples))
+    if sq < math.inf:
+        return _SUP_INFLATION * float(np.sqrt(sq))
+    scale = max(float(np.max(np.abs(v))) for v in samples)
+    return _SUP_INFLATION * scale * float(np.sqrt(np.max(sum((v / scale) ** 2 for v in samples))))
 
 
 def _min_eigenvalue(avals: dict) -> np.ndarray:
@@ -505,14 +511,20 @@ def garding_constants(coeffs, geom: DomainGeometry, theta: float, T: float) -> t
     inequality on a(u,u) >= theta||Du||^2 - ||b|| ||Du|| ||u|| - ||c|| ||u||^2,
     with ||b||_inf the sup of the Euclidean magnitude of the drift vector.
     Sup bounds are sampled over [0, T] x geom and carry the 1.05 inflation,
-    which only enlarges nu (safe side).
+    which only enlarges nu (safe side).  Raises OverflowError if nu exceeds
+    the floating range.
     """
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError(f"ellipticity constant theta must be positive, got {theta}")
     env = _grid(geom, T, _SUP_SAMPLES)[1]
     bnorm = _sup_norm([coeffs[k] for k in _present(coeffs, geom.dim) if k[0] == "b"], env)
     cnorm = _sup(coeffs["c"], env) if "c" in coeffs else 0.0
-    return 0.5 * theta, bnorm * bnorm / (2.0 * theta) + cnorm
+    nu = bnorm * bnorm / (2.0 * theta) + cnorm
+    if nu == math.inf:  # ||b||^2 overflowed
+        nu = bnorm * (bnorm / (2.0 * theta)) + cnorm
+    if not math.isfinite(nu):
+        raise OverflowError(f"Garding constant nu = {nu} exceeds the floating range")
+    return 0.5 * theta, nu
 
 
 def continuity_constant(coeffs, geom: DomainGeometry, basis: SpectralBasis, T: float) -> float:

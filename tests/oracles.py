@@ -1,7 +1,9 @@
 """Independent reference computations shared by the test suite.
 
 These deliberately avoid the code paths under test: the Mittag-Leffler
-reference sums the defining series in scaled arbitrary precision, the dense
+reference sums the defining series in scaled arbitrary precision, the
+algebraic-tail reference scans each point's whole truncation envelope at
+once, the dense
 quadrature oracles integrate with plain Simpson sums, the 2-D form oracle
 tabulates every basis function on one dense tensor Gauss-Legendre grid, the
 L1 and product-integration marches sum the whole history at every node, and
@@ -13,6 +15,8 @@ import operator
 
 import mpmath
 import numpy as np
+
+from fracspec.fraccalc import _TOL, _blocks, _tail_table
 
 
 def ml_reference(alpha: float, beta: float, z: float) -> float:
@@ -49,6 +53,65 @@ def ml_reference(alpha: float, beta: float, z: float) -> float:
             if abs(total) * mpmath.mpf(10) ** (dps - 30) >= max_term:
                 return float(total)
         dps *= 2
+
+
+def algebraic_tail_full_table(a: float, b: float, z):
+    """The algebraic tail's truncation rule on the whole envelope table at once.
+
+    -sum_{k>=1} z^{-k} / Gamma(b - a k) at every point of z, each truncated at
+    its smallest term; returns (sum, converged) by fraccalc._algebraic_tail's
+    rule, with every point's whole (points, n_terms) envelope, running
+    minimum and pass test formed before the term loop.  The table of envelope
+    and Gamma reciprocals is fraccalc's own (_tail_table), so the two agree
+    bit for bit.
+    """
+    zf = np.asarray(z, dtype=float)
+    flat = zf.reshape(-1)
+    env, log_r, sign_r = _tail_table(a, b)
+    # as Python floats: the term loop below reads one entry at a time
+    log_r, sign_r = log_r.tolist(), sign_r.tolist()
+    n_terms = len(env)
+    ks = np.arange(1.0, n_terms + 1.0)
+    out = np.empty(flat.shape)
+    converged = np.empty(flat.shape, dtype=bool)
+    for sl in _blocks(len(flat), 3 * n_terms):
+        zb = flat[sl]
+        rows = np.arange(len(zb))
+        ln_inv = -np.log(np.abs(zb))
+        lenv = env + ks * ln_inv[:, None]
+        # truncate at the running minimum of the envelope, scanned until it
+        # is decisively passed: 3 above the minimum, 4 or more terms on
+        run = np.minimum.accumulate(lenv, axis=1)
+        past = (lenv[:, 4:] > run[:, 4:] + 3.0) & (run[:, 4:] == run[:, :-4])
+        passed = past.any(axis=1)
+        last = np.where(passed, past.argmax(axis=1) + 4, n_terms - 1)
+        k_min = np.argmax(lenv == run[rows, last][:, None], axis=1) + 1
+        odd_sign = np.where(zb > 0.0, 1.0, -1.0)
+        total = np.zeros(zb.shape)
+        comp = np.zeros(zb.shape)
+        live = np.ones(zb.shape, dtype=bool)
+        for k in range(1, int(k_min.max()) + 1):
+            live &= k <= k_min
+            if not live.any():
+                break
+            if sign_r[k - 1]:
+                lt = log_r[k - 1] + k * ln_inv
+                term = np.where(lt > -745.0, np.exp(lt), 0.0) * -sign_r[k - 1]
+                if k & 1:
+                    term *= odd_sign
+                y = term - comp
+                t = total + y
+                comp = np.where(live, (t - total) - y, comp)
+                total = np.where(live, t, total)
+            # stop on the sine-free envelope: raw magnitudes dip spuriously near
+            # the poles and would truncate the series early
+            env_k = np.exp(np.minimum(lenv[:, k - 1], 700.0))
+            small = env_k < 1e-4 * _TOL * (np.abs(total) + 1e-300)
+            passed |= live & small
+            live &= ~small
+        out[sl] = total
+        converged[sl] = passed
+    return out.reshape(zf.shape)[()], converged.reshape(zf.shape)[()]
 
 
 def simpson(values: np.ndarray, h: float) -> float:

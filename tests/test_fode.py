@@ -12,6 +12,7 @@ from oracles import l1_march, ml_reference, pi_march
 
 from fracspec.fraccalc import _BLOCK_BYTES, GridSeries, TimeGrid, ml, ml_array, rl_integral
 from fracspec.fode import (
+    _LEAF,
     _STRIDE,
     FractionalIVP,
     PicardDivergenceError,
@@ -93,6 +94,37 @@ def check_singular_step_at_late_node(solve, sigma, dense):
         solve(ivp)
     assert exc.value.node == bad
     assert exc.value.eigenvalue_estimate == pytest.approx(-s, rel=1e-9)
+
+
+# (node, mode) pairs whose diagonal step denominator sigma + A_m[k, k]
+# vanishes; at M = 4 _LEAF the march's leaves hold nodes 1.._LEAF,
+# _LEAF+1..2 _LEAF, 2 _LEAF+1..3 _LEAF and 3 _LEAF+1..4 _LEAF
+LEAF_SINGULAR_CASES = {
+    "first node of a leaf": [(_LEAF + 1, 0)],
+    "last node of a leaf": [(2 * _LEAF, 0)],
+    "a later mode": [(_LEAF + 7, 2)],
+    "two nodes of one leaf": [(2 * _LEAF + 30, 0), (2 * _LEAF + 9, 3)],
+    "two modes of one node": [(3 * _LEAF + 5, 3), (3 * _LEAF + 5, 1)],
+}
+
+
+def check_singular_diagonal_step(solve, sigma, singular):
+    # the diagonal path checks a leaf's denominators before its first step:
+    # the error names what a check before each step would, the first
+    # singular node and, at it, the first singular mode's eigenvalue
+    M, N = 4 * _LEAF, 4
+    g = TimeGrid(1.0, M)
+    s = sigma(g, 0.5)
+    A = np.tile(np.diag([1.0, 2.0, 3.0, 4.0]), (M + 1, 1, 1))
+    for m, k in singular:
+        A[m, k, k] = -s
+    node = min(m for m, _ in singular)
+    mode = min(k for m, k in singular if m == node)
+    ivp = FractionalIVP(0.5, g, A, np.ones((M + 1, N)))
+    with pytest.raises(SingularStepError, match=f"node {node}: eigenvalue") as exc:
+        solve(ivp)
+    assert exc.value.node == node
+    assert exc.value.eigenvalue_estimate == A[node, mode, mode] == -s
 
 
 class TestOperatorNorm:
@@ -328,6 +360,10 @@ class TestPicard:
     def test_singular_step_reported(self):
         check_singular_step(picard_solve, pi_sigma)
 
+    @pytest.mark.parametrize("singular", LEAF_SINGULAR_CASES.values(), ids=LEAF_SINGULAR_CASES.keys())
+    def test_singular_diagonal_step_named(self, singular):
+        check_singular_diagonal_step(picard_solve, pi_sigma, singular)
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_singular_step_at_late_node(self, dense):
         check_singular_step_at_late_node(picard_solve, pi_sigma, dense)
@@ -365,6 +401,10 @@ class TestL1Solve:
 
     def test_singular_step_reported(self):
         check_singular_step(l1_solve, l1_sigma)
+
+    @pytest.mark.parametrize("singular", LEAF_SINGULAR_CASES.values(), ids=LEAF_SINGULAR_CASES.keys())
+    def test_singular_diagonal_step_named(self, singular):
+        check_singular_diagonal_step(l1_solve, l1_sigma, singular)
 
     def test_mode_decoupling_is_exact(self):
         # diagonal system: mode columns identical across different N, also at

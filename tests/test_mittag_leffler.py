@@ -13,7 +13,7 @@ import pytest
 from fracspec import ml_array
 from fracspec.fraccalc import ml, recip_gamma
 
-from oracles import ml_reference
+from oracles import algebraic_tail_full_table, ml_reference
 
 
 def test_exponential_case():
@@ -333,6 +333,56 @@ def test_tail_table_built_once_per_parameters():
     assert (info.misses, info.hits) == (1, 1)
     assert first.tobytes() == second.tobytes()
     assert not _tail_table(0.5, 1.25).flags.writeable
+
+
+def test_tail_matches_full_table_reference():
+    # the chunked envelope scan truncates every point at the term the whole
+    # table's scan picks: values and converged flags bit for bit, over
+    # |z|^(1/alpha) from the cut to 1e8, on both sides of the axis.  At
+    # alpha = 0.5, beta = 1 every even term sits on a Gamma pole; below
+    # alpha ~ 0.13 the table grows to 50/alpha terms, and E_{0.02,0.01045}
+    # cancels to a small fraction of its terms there, so its tail points
+    # converge neither way.  E_{0.25,0.19} has a zero at |z|^4 = 51.7034...,
+    # where no term falls below _TOL of the sum before the smallest, k ~ 207,
+    # seven chunks of the scan in
+    from fracspec.fraccalc import _algebraic_tail
+
+    rng = np.random.default_rng(15)
+    cases = [
+        (0.02, 1.0), (0.02, 0.01045), (0.05, 0.05), (0.25, 1.25), (0.25, 0.19), (0.5, 1.0), (0.9, 1.9), (0.999, 1.0)
+    ]
+    unconverged = 0
+    for alpha, beta in cases:
+        n = 200 if alpha < 0.1 else 2000  # the reference scans 50/alpha terms a point
+        s = np.exp(rng.uniform(math.log(50.0), math.log(1e8), n))
+        s[:4] = (50.0 * (1.0 + 1e-12), 50.5, 51.70344853800368, 1e8)
+        z = -(s**alpha)
+        z[1::4] *= -1.0
+        got = _algebraic_tail(alpha, beta, z)
+        ref = algebraic_tail_full_table(alpha, beta, z)
+        assert got[0].tobytes() == ref[0].tobytes(), (alpha, beta)
+        assert got[1].tobytes() == ref[1].tobytes(), (alpha, beta)
+        unconverged += np.count_nonzero(~ref[1])
+    assert unconverged > 0
+
+
+def test_tail_memory_bounded():
+    # the envelope is scanned a chunk of terms at a time, in blocks whose
+    # temporaries fit _BLOCK_BYTES: beyond them only the sums and flags
+    # (9 bytes a point) grow with the point count.  Scanning every point's
+    # whole 399-term table needed 2.3 MiB here
+    from fracspec.fraccalc import _BLOCK_BYTES, _algebraic_tail
+
+    n = 100_000
+    z = -np.linspace(5.0, 35.0, n)  # |z|^(1/alpha) from 25 to 1225
+    _algebraic_tail(0.5, 1.0, z[:8])  # the table, cached per (alpha, beta)
+    tracemalloc.start()
+    try:
+        _algebraic_tail(0.5, 1.0, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BLOCK_BYTES + 10 * n
 
 
 @pytest.mark.parametrize("alpha,beta,z", [(0.7, 0.4, -1.0), (0.999, 1.0, -39.0)])

@@ -408,9 +408,25 @@ class TestGardingConstants:
             with pytest.raises(ExprDomainError, match="not finite"):
                 garding_constants(coeffs, self.geom(), 1.0, 1.0)
 
+    def test_huge_drift_finite_nu(self):
+        # regression: the drift sup squared its samples, so ||b|| = 1.05e155
+        # overflowed to nu = inf, where nu = ||b||^2 / (2 theta) is 5.5e299
+        coeffs = {"a11": parse("1"), "b1": parse("1e155")}
+        _, nu = garding_constants(coeffs, self.geom(), 1e10, 1.0)
+        assert nu == pytest.approx(1.05**2 * 0.5e300, rel=1e-13)
+        two = {"a11": parse("1"), "b1": parse("3e200"), "b2": parse("4e200")}
+        _, nu = garding_constants(two, DomainGeometry((1.0, 1.0)), 1e100, 1.0)
+        assert nu == pytest.approx(1.05**2 * 12.5e300, rel=1e-13)  # ||b|| = 1.05 * 5e200
+
+    def test_overflowing_nu_rejected(self):
+        coeffs = {"a11": parse("1"), "b1": parse("1e155")}
+        with pytest.raises(OverflowError, match="nu"):
+            garding_constants(coeffs, self.geom(), 1.0, 1.0)
+
     def test_rejects_nonpositive_theta(self):
-        with pytest.raises(ValueError):
-            garding_constants({"a11": parse("1")}, self.geom(), 0.0, 1.0)
+        for theta in (0.0, -1.0, math.nan):  # a NaN theta gave nu = nan
+            with pytest.raises(ValueError):
+                garding_constants({"a11": parse("1")}, self.geom(), theta, 1.0)
 
     def test_garding_inequality_random_vectors(self):
         # v' A v >= beta ||v||_H10^2 - nu ||v||_L2^2 on 100 random vectors
