@@ -8,12 +8,18 @@ are immutable and evaluation is pure, so expressions may be shared freely
 across threads.  The box and the horizon an expression is sampled on belong
 to its caller (spectral's DomainGeometry and T), not to the expression.
 
-evaluate compiles a tree into nested closures on first use and keeps the
-compiled form in a bounded LRU keyed by the tree's value (each node caches
-its own hash, so the key costs no tree walk).  The closures apply the same
-numpy operations in the same order as a walk of the tree would, with the
-domain checks (division by zero, sqrt of a negative, non-finite power or
-function values, variables given no value) on every node.
+_compiled turns a tuple of trees into one straight-line Python function of
+(t, x, y) that returns the tuple of their values, and keeps it in a bounded
+LRU keyed by the trees' values (each node caches its own hash, so the key
+costs no tree walk).  Each distinct subtree, across the whole tuple, is
+computed once per call, and each intermediate is deleted after its last use.
+The code applies the same numpy operations in the same post-order as a walk
+of each tree would, with the domain checks (division by zero, sqrt of a
+negative, non-finite power or function values, variables given no value) on
+every node, so the first failing subexpression named is the walk's.
+evaluate is the one-tree case.  No text of a tree reaches the generated
+source: constants and nodes go through a reference table, and variable,
+operator and function names through fixed tables.
 """
 
 from __future__ import annotations
@@ -292,109 +298,146 @@ def variables_of(e: Expr) -> set:
 # evaluation (scalar or numpy-array values per variable)
 # ---------------------------------------------------------------------------
 
-_CALLS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
+# The compiler's fixed tables.  Generated source holds the text of these
+# tables, the names of the step functions below, and names the compiler makes
+# up: _v<i> for a computed value and _r<i> for an entry of the reference
+# table (constants, nodes, numpy functions).  No string or number of a tree
+# reaches it.
+_VARIABLES = {"t": "t", "x": "x", "y": "y"}
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*"}
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+
+# The steps with a domain check.  Each takes the node it evaluates, to name
+# it in the error; checks on scalar values use math.isfinite, math.pow and
+# plain comparisons.
 
 
 def _finite(v) -> bool:
     return bool(np.isfinite(v).all()) if isinstance(v, np.ndarray) else math.isfinite(v)
 
 
-def _build(e: Expr):
-    """A closure (t, x, y) -> value of e, applying the numpy operations of the tree.
+def _variable(v, e: Var) -> None:
+    if v is None:
+        raise ExprDomainError(f"variable {e.name!r} has no value here", e)
 
-    Children are evaluated left to right before their parent's domain check,
-    so the first failing subexpression in that order is the one named.
-    Checks on scalar values use math.isfinite and plain comparisons.
-    """
-    if isinstance(e, Num):
-        # equal trees share one compiled form, and Num(-0.0) == Num(0) ==
-        # Num(0.0): + 0.0 gives each equality class one value, 0.0
-        value = e.value + 0.0
-        return lambda t, x, y: value
-    if isinstance(e, Var):
 
-        def missing():
-            raise ExprDomainError(f"variable {e.name!r} has no value here", e)
+def _divide(a, b, e: BinOp):
+    if np.any(b == 0.0) if isinstance(b, np.ndarray) else b == 0.0:
+        raise ExprDomainError("division by zero", e)
+    return a / b
 
-        if e.name == "t":
-            return lambda t, x, y: missing() if t is None else t
-        if e.name == "x":
-            return lambda t, x, y: missing() if x is None else x
-        if e.name == "y":
-            return lambda t, x, y: missing() if y is None else y
-        return lambda t, x, y: missing()
-    if isinstance(e, Neg):
-        f = _build(e.child)
-        return lambda t, x, y: -f(t, x, y)
-    if isinstance(e, BinOp):
-        f, g = _build(e.left), _build(e.right)
-        if e.op == "+":
-            return lambda t, x, y: f(t, x, y) + g(t, x, y)
-        if e.op == "-":
-            return lambda t, x, y: f(t, x, y) - g(t, x, y)
-        if e.op == "*":
-            return lambda t, x, y: f(t, x, y) * g(t, x, y)
-        if e.op == "/":
 
-            def divide(t, x, y):
-                a = f(t, x, y)
-                b = g(t, x, y)
-                if np.any(b == 0.0) if isinstance(b, np.ndarray) else b == 0.0:
-                    raise ExprDomainError("division by zero", e)
-                return a / b
+def _power(a, b, e: BinOp):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            out = np.power(a, b)
+    else:
+        # math.pow raises where np.power would warn (a negative base to a
+        # fractional power, zero to a negative one, overflow), without
+        # entering np.errstate.  The value stays np.power's: its vector loop
+        # can differ from libm by an ulp, and scalars must match arrays bit
+        # for bit.
+        try:
+            math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise ExprDomainError("power produced a non-finite value", e) from exc
+        out = np.power(a, b)
+    if not _finite(out):
+        raise ExprDomainError("power produced a non-finite value", e)
+    return out
 
-            return divide
-        if e.op == "^":  # constant exponent
 
-            def power(t, x, y):
-                a = f(t, x, y)
-                b = g(t, x, y)
-                if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                        out = np.power(a, b)
-                else:
-                    # math.pow raises where np.power would warn (a negative
-                    # base to a fractional power, zero to a negative one,
-                    # overflow), without entering np.errstate.  The value
-                    # stays np.power's: its vector loop can differ from libm
-                    # by an ulp, and scalars must match arrays bit for bit.
-                    try:
-                        math.pow(a, b)
-                    except (ValueError, OverflowError) as exc:
-                        raise ExprDomainError("power produced a non-finite value", e) from exc
-                    out = np.power(a, b)
-                if not _finite(out):
-                    raise ExprDomainError("power produced a non-finite value", e)
-                return out
-
-            return power
-        raise TypeError(f"unknown operator {e.op!r} in {e!r}")
-    if isinstance(e, Call):
-        f, fn, sqrt = _build(e.arg), _CALLS[e.fn], e.fn == "sqrt"
-
-        def call(t, x, y):
-            arg = f(t, x, y)
-            if sqrt and (np.any(arg < 0.0) if isinstance(arg, np.ndarray) else arg < 0.0):
-                raise ExprDomainError("sqrt of a negative value", e)
-            out = fn(arg)
-            if not _finite(out):
-                raise ExprDomainError(f"{e.fn} produced a non-finite value", e)
-            return out
-
-        return call
-    raise TypeError(f"not an expression node: {e!r}")
+def _call(fn, a, e: Call):
+    if fn is np.sqrt and (np.any(a < 0.0) if isinstance(a, np.ndarray) else a < 0.0):
+        raise ExprDomainError("sqrt of a negative value", e)
+    out = fn(a)
+    if not _finite(out):
+        raise ExprDomainError(f"{e.fn} produced a non-finite value", e)
+    return out
 
 
 @lru_cache(maxsize=1024)
-def _compiled(e: Expr):
-    """The closure of e, built once per distinct tree (keyed by value)."""
-    return _build(e)
+def _compiled(exprs: tuple):
+    """One straight-line function (t, x, y) -> tuple of the values of exprs.
+
+    The trees are walked in tuple order, each in post-order with children
+    left to right, and every distinct subtree (equal by value) becomes one
+    line of the function, computed once per call: its numpy operation, and
+    its domain check (division by zero, sqrt of a negative, non-finite power
+    or function values, a variable given no value).  The first failing
+    subexpression in that order, which is a tree walk's, is the one named.
+    Each intermediate is deleted after its last use, so an array value lives
+    no longer than in a walk of the tree, save a shared subtree's, which
+    lives until its last use.
+
+    Constants, nodes and numpy functions go through a reference table;
+    variable names, operators and function names through the fixed tables
+    above.  An unknown operator raises TypeError and an unknown function
+    KeyError here; an unknown variable raises ExprDomainError when its line
+    runs.
+    """
+    namespace = {"_variable": _variable, "_divide": _divide, "_power": _power, "_call": _call}
+    names = {}  # distinct subtree -> the name of its value in the code
+    lines, reads = [], []  # per line: the temporaries it reads
+
+    def ref(obj) -> str:
+        name = f"_r{len(namespace)}"
+        namespace[name] = obj
+        return name
+
+    def visit(e) -> str:
+        if e in names:
+            return names[e]
+        if isinstance(e, Num):
+            # equal trees share one compiled form, and Num(-0.0) == Num(0) ==
+            # Num(0.0): + 0.0 gives each equality class one value, 0.0
+            names[e] = ref(e.value + 0.0)
+            return names[e]
+        if isinstance(e, Var):
+            # an unknown variable raises, so the None standing for it is never read
+            out, args = _VARIABLES.get(e.name, "None"), ()
+            line = f"_variable({out}, {ref(e)})"
+        else:
+            if isinstance(e, Neg):
+                args = (visit(e.child),)
+                step = "-{}"
+            elif isinstance(e, BinOp):
+                args = (visit(e.left), visit(e.right))
+                if e.op in _ARITHMETIC:
+                    step = "{} " + _ARITHMETIC[e.op] + " {}"
+                elif e.op == "/":
+                    step = "_divide({}, {}, " + ref(e) + ")"
+                elif e.op == "^":  # constant exponent
+                    step = "_power({}, {}, " + ref(e) + ")"
+                else:
+                    raise TypeError(f"unknown operator {e.op!r} in {e!r}")
+            elif isinstance(e, Call):
+                args = (visit(e.arg),)
+                step = "_call(" + ref(_CALLS[e.fn]) + ", {}, " + ref(e) + ")"
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            out = f"_v{len(lines)}"
+            line = f"{out} = " + step.format(*args)
+        lines.append(line)
+        reads.append([a for a in args if a.startswith("_v")])
+        names[e] = out
+        return out
+
+    outputs = [visit(e) for e in exprs]
+    last = {v: i for i, vs in enumerate(reads) for v in vs}
+    body = []
+    for i, (line, vs) in enumerate(zip(lines, reads)):
+        body.append(line)
+        done = [v for v in dict.fromkeys(vs) if last[v] == i and v not in outputs]
+        if done:
+            body.append("del " + ", ".join(done))
+    source = "".join(
+        ["def _values(t, x, y):\n"]
+        + [f"    {line}\n" for line in body]
+        + ["    return (", *(f"{v}, " for v in outputs), ")\n"]
+    )
+    exec(compile(source, "<exprfield>", "exec"), namespace)
+    return namespace["_values"]
 
 
 def evaluate(e: Expr, t=None, x=None, y=None):
@@ -403,10 +446,11 @@ def evaluate(e: Expr, t=None, x=None, y=None):
     A variable the tree reads but the call does not give raises
     ExprDomainError naming it; there is no default value.  Deterministic
     IEEE double evaluation with no hidden state; repeated calls return
-    bit-identical results.  The tree is compiled into closures on its first
-    evaluation and the compiled form is cached by value.
+    bit-identical results.  This is the one-tree case of _compiled: the tree
+    becomes straight-line code on its first evaluation, computing each
+    distinct subtree once, and the code is cached by the tree's value.
     """
-    return _compiled(e)(t, x, y)
+    return _compiled((e,))(t, x, y)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,11 @@ class FractionalIVP:
 
 @dataclass(frozen=True, eq=False)
 class ModalTrajectory:
-    """Galerkin coefficients c(t_m) per node, with provenance tag."""
+    """Galerkin coefficients c(t_m) per node."""
 
     grid: TimeGrid
     values: np.ndarray  # (M+1, N)
     alpha: float
-    method: str  # picard | l1 | oracle
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -163,6 +162,25 @@ def _distinct_nodes(A: np.ndarray) -> np.ndarray:
     """A, or its first node when A is a broadcast in time (A.strides[0] == 0):
     a reduction over every entry of A then reads one node, not M+1 copies."""
     return A[:1] if A.strides[0] == 0 else A
+
+
+def _is_diagonal(A: np.ndarray) -> bool:
+    """Whether every node of A is diagonal.
+
+    A is finite, so a node is diagonal iff all its nonzeros lie on the
+    diagonal; counting them allocates nothing the size of A.  The nodes are
+    counted in blocks of 1, 1, 2, 4, ... nodes, returning at the first block
+    with an off-diagonal nonzero: at most twice the nodes up to it are read,
+    and diagonal data is read once, in about log2 M blocks.
+    """
+    nodes = _distinct_nodes(A)
+    lo, hi = 0, 1
+    while lo < len(nodes):
+        block = nodes[lo:hi]
+        if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block, axis1=1, axis2=2)):
+            return False
+        lo, hi = hi, 2 * hi
+    return True
 
 
 def _sup_norm(values: np.ndarray) -> float:
@@ -204,9 +222,10 @@ def max_operator_norm(ivp: FractionalIVP) -> float:
     nodes than the spread of its norms, sends every node to the exact SVD:
     about 1.05 times the cost of a full batched SVD.  The differences are
     formed in blocks of fraccalc._BLOCK_BYTES, so the extra memory is that
-    block plus O(M) doubles, never a copy of A.
+    block plus O(M) doubles, never a copy of A.  A broadcast in time is read
+    at one node (_distinct_nodes): its norm is that node's one SVD.
     """
-    A = ivp.A
+    A = _distinct_nodes(ivp.A)
     n, N = A.shape[0], A.shape[1]
     if N == 0:
         return 0.0
@@ -274,10 +293,7 @@ def _implicit_march(
     SingularStepError names the first node whose step matrix is singular.
     """
     M, N = ivp.grid.M, ivp.N
-    # A is finite, so it is diagonal iff all its nonzeros lie on the diagonal;
-    # counting them allocates nothing the size of A
-    nodes = _distinct_nodes(ivp.A)
-    diag_only = np.count_nonzero(nodes) == np.count_nonzero(np.diagonal(nodes, axis1=1, axis2=2))
+    diag_only = _is_diagonal(ivp.A)
     c = np.zeros((M + 1, N))
     h = np.zeros((M + 1, N)) if volterra else c
     shift = sigma * np.eye(N)
@@ -359,7 +375,7 @@ def picard_solve(ivp: FractionalIVP) -> tuple[ModalTrajectory, PicardLog]:
     residual = _sup_norm(c - picard_apply(ivp, c))
     if not residual <= _PICARD_TOL * max(1.0, _sup_norm(c)):  # a NaN fails too
         raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
-    return ModalTrajectory(ivp.grid, c, alpha, "picard"), PicardLog(1, residual)
+    return ModalTrajectory(ivp.grid, c, alpha), PicardLog(1, residual)
 
 
 def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
@@ -378,7 +394,7 @@ def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     # w0 d[j] weighs c_{m-j} for j = 1..M-1; d[0] unused
     kernel = w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
     c = _implicit_march(ivp, w0, kernel, np.zeros((M + 1, ivp.N)), volterra=False)
-    return ModalTrajectory(ivp.grid, c, ivp.alpha, "l1")
+    return ModalTrajectory(ivp.grid, c, ivp.alpha)
 
 
 def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSeries:

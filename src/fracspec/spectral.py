@@ -13,11 +13,14 @@ Two bounded LRU caches keep what does not depend on t.  _tabulate holds the
 per-axis sine tables of a basis on its quadrature grid.  _plan holds, per
 (basis, coefficient expressions), each coefficient split into terms
 g(t) h(x, y) with every t-free factor h sampled and contracted once (sum
-factorisation on the sine basis), plus the validated coefficient names and
-the constant-diagonal case.  Coefficients are keyed by value, so a dict
-changed between calls is never served a stale plan.  At each node assemble
-evaluates the g(t), sums the contracted matrices, checks ellipticity on the
-quadrature grid, and samples and contracts whatever does not split.
+factorisation on the sine basis), the diffusion samples stacked per name,
+the validated coefficient names and the constant-diagonal case.
+Coefficients are keyed by value, so a dict changed between calls is never
+served a stale plan, and a changed forcing reuses the plan.  At each node
+assemble evaluates the forcing and the g(t) in one call of their compiled
+tuple (exprfield._compiled, which computes a subtree they share once), sums
+the contracted matrices, checks ellipticity on the quadrature grid, and
+samples and contracts whatever does not split.
 
 A coefficient is an exprfield expression in t, x (and y in 2d); a variable
 the box lacks raises where it is read.  The paper's constants (theta,
@@ -32,7 +35,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exprfield import BinOp, ExprDomainError, Neg, Num, evaluate, variables_of
+from .exprfield import BinOp, ExprDomainError, Neg, Num, _compiled, evaluate, variables_of
 
 __all__ = [
     "DomainGeometry",
@@ -358,11 +361,12 @@ class _Plan:
 
     Each coefficient is split by _split.  The t-free factors h are sampled
     on the quadrature grid and contracted once; the terms of each distinct
-    t-factor g_j sum into K[j], so A(t) = sum_j g_j(t) K[j] plus the rest,
-    which is sampled and contracted at every node.  The diffusion samples
-    for the ellipticity check are rebuilt per node from the same sampled h.
-    Constant isotropic diffusion with constant reaction and no drift is
-    instead the exact diagonal.
+    t-factor g_j (factors[j]) sum into K[j], so A(t) = sum_j g_j(t) K[j] plus
+    the rest, which is sampled and contracted at every node.  The sampled h
+    of each diffusion name are stacked as the rows of one matrix, so its
+    field for the ellipticity check is one product g[js] @ H per node (plus
+    its rest).  Constant isotropic diffusion with constant reaction and no
+    drift is instead the exact diagonal, with no t-factors.
     """
 
     def __init__(self, basis: SpectralBasis, coeffs: dict):
@@ -385,41 +389,54 @@ class _Plan:
             if abar <= 0.0:
                 raise EllipticityError(f"constant diffusion coefficient {abar} is not positive")
             self.diagonal = np.diag(abar * basis.eigenvalues + consts.get("c", 0.0))
+            self.factors = ()
             return
 
         tab = self.tab = _tabulate(basis)
         self.n = basis.N
-        self.factors = {}  # g_j -> j
+        factors = {}  # g_j -> j
         K = []
-        self.samples = {k: [] for k in self.diffusion}  # name -> [(j, h on the grid)]
+        samples = {k: [] for k in self.diffusion}  # name -> [(j, h on the grid)]
         self.rest = {}  # name -> sum of its rest terms
         for k in present:
             terms, rest = _split(coeffs[k])
             for g, h in terms:
                 H = _sample(h, tab.shape, **tab.env)
                 form = sum(tab.contract(H, row, col) for row, col in _SLOTS[k])
-                j = self.factors.setdefault(g, len(K))
+                j = factors.setdefault(g, len(K))
                 if j == len(K):
                     K.append(form)
                 else:
                     K[j] += form
-                if k in self.samples:
-                    self.samples[k].append((j, H))
+                if k in samples:
+                    samples[k].append((j, H))
             if rest:
                 self.rest[k] = reduce(lambda a, b: BinOp("+", a, b), rest)
+        self.factors = tuple(factors)
         self.K = np.array(K).reshape(len(K), self.n**2)
+        # per diffusion name: the indices j of its terms and their h stacked
+        # as rows, so its field at a node is one product g[js] @ H
+        size = math.prod(tab.shape)
+        self.samples = {
+            k: (np.array([j for j, _ in terms], dtype=np.intp),
+                np.array([H for _, H in terms]).reshape(len(terms), size))
+            for k, terms in samples.items()
+        }
 
-    def form(self, t: float) -> np.ndarray:
-        """A(t), after the ellipticity check on the quadrature grid."""
+    def form(self, t: float, g: tuple) -> np.ndarray:
+        """A(t) from the values g of the t-factors at t, after the
+        ellipticity check on the quadrature grid."""
         if self.diagonal is not None:
             return self.diagonal.copy()
         tab = self.tab
-        g = np.array([float(evaluate(e, t=t)) for e in self.factors])
+        g = np.array(g, dtype=float)
         rest = {k: _sample(e, tab.shape, t=t, **tab.env) for k, e in self.rest.items()}
-        eig = _min_eigenvalue({
-            k: sum((g[j] * H for j, H in terms), rest.get(k, 0.0)) for k, terms in self.samples.items()
-        })
-        idx = int(np.argmin(eig))
+        fields = {}
+        for k, (js, H) in self.samples.items():
+            field = (g[js] @ H).reshape(tab.shape)
+            fields[k] = field + rest[k] if k in rest else field
+        eig = _min_eigenvalue(fields)
+        idx = int(eig.argmin())
         theta_min = float(eig.flat[idx])
         if theta_min <= 0.0:
             loc = tuple(float(np.broadcast_to(p, tab.shape).flat[idx]) for p in tab.env.values())
@@ -454,20 +471,23 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
 
     What does not depend on t is done once per (basis, coefficient
     expressions) and kept in a small LRU keyed by value, so a coefficient
-    replaced in the same dict gets a new plan (see _Plan): each coefficient
-    is split into terms g(t) h(x, y), the t-free factors h are contracted
-    once, and a call evaluates the g(t), sums the contracted matrices, and
-    samples and contracts only what does not split (sin(x*t), say).  The
-    diffusion coefficients are checked for ellipticity on the quadrature
-    grid at every call.
+    replaced in the same dict gets a new plan and a new forcing does not
+    (see _Plan): each coefficient is split into terms g(t) h(x, y) and the
+    t-free factors h are contracted once.  A call evaluates the in-range
+    forcing expressions and then the g(t) in one compiled call, which
+    computes a subtree they share (t^2, a sine of t) once; it then sums the
+    contracted matrices, and samples and contracts only what does not split
+    (sin(x*t), say).  The diffusion coefficients are checked for
+    ellipticity on the quadrature grid at every call.
     """
     n = basis.N
-    load = np.zeros(n)
-    for j, expr in forcing.items():
-        if 1 <= j <= n:
-            load[j - 1] = float(evaluate(expr, t=t))
+    modes = [j for j in forcing if 1 <= j <= n]
     plan = _plan(basis, tuple(coeffs.items()))
-    return AssembledForm(t, plan.form(t), load)
+    values = _compiled(tuple(forcing[j] for j in modes) + plan.factors)(t, None, None)
+    load = np.zeros(n)
+    for j, v in zip(modes, values):
+        load[j - 1] = v
+    return AssembledForm(t, plan.form(t, values[len(modes):]), load)
 
 
 @dataclass(frozen=True)

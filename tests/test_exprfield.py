@@ -3,6 +3,8 @@ the sampled sup bounds spectral takes of its expressions over [0, T] x box."""
 
 import math
 import pickle
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.exprfield import (
+    _compiled,
     BinOp,
     Call,
     ExprDomainError,
@@ -184,6 +187,158 @@ def test_compiled_matches_tree_walk(tree, which):
         got = evaluate(tree, **args)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@st.composite
+def _sharing_tuples(draw):
+    """2-3 trees that each contain one shared subtree, the last possibly
+    containing the first whole."""
+    shared = draw(_trees)
+    trees = []
+    for _ in range(draw(st.integers(2, 3))):
+        other = draw(_trees)
+        pair = (shared, other) if draw(st.booleans()) else (other, shared)
+        trees.append(BinOp(draw(st.sampled_from(["+", "-", "*", "/"])), *pair))
+    if draw(st.booleans()):
+        trees[-1] = BinOp("*", trees[0], trees[-1])
+    return tuple(trees)
+
+
+def _tuple_walk(trees, args):
+    """Each tree's value by tests/oracles.py::tree_value, in tuple order;
+    DomainFault from the first tree that fails."""
+    return [tree_value(tree, **args) for tree in trees]
+
+
+@given(_sharing_tuples())
+@settings(max_examples=200, deadline=None)
+def test_compiled_tuple_matches_tree_walks(trees):
+    # one compiled call over trees sharing subtrees gives each tree's walk
+    # value bit for bit, or names the walk's first failing subexpression
+    fn = _compiled(trees)
+    for args in _ARGS:
+        with np.errstate(all="ignore"):
+            try:
+                want = _tuple_walk(trees, args)
+            except DomainFault as fault:
+                with pytest.raises(ExprDomainError) as exc:
+                    fn(args["t"], args["x"], args["y"])
+                assert exc.value.subexpr == fault.node
+                continue
+            got = fn(args["t"], args["x"], args["y"])
+        assert type(got) is tuple and len(got) == len(trees)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+
+
+class TestCompiledTuple:
+    @pytest.mark.parametrize(
+        "srcs, failing",
+        [
+            # the first tree that fails is named, though a later one fails too
+            (("t + 1", "1/(x - 1) + sqrt(x - 2)", "sqrt(x - 2)"), "1/(x - 1)"),
+            (("sqrt(x - 2)*t", "1/(x - 1)"), "sqrt(x - 2)"),
+            # a subtree shared with an earlier, passing tree is computed once
+            # and the later tree's own failure is named
+            (("(x - 1)*t", "t/(x - 1)"), "t/(x - 1)"),
+        ],
+    )
+    def test_first_failure_in_tuple_order(self, srcs, failing):
+        trees = tuple(parse(s) for s in srcs)
+        with pytest.raises(ExprDomainError) as exc:
+            _compiled(trees)(0.5, 1.0, 0.0)
+        assert exc.value.subexpr == parse(failing)
+        with pytest.raises(DomainFault) as fault:
+            _tuple_walk(trees, {"t": 0.5, "x": 1.0, "y": 0.0})
+        assert fault.value.node == exc.value.subexpr
+
+    def test_missing_variable_in_a_later_tree(self):
+        # y is read only by the second tree, before its failing sqrt
+        trees = (parse("x + t"), parse("y*sqrt(x - 2)"))
+        with pytest.raises(ExprDomainError, match="variable 'y' has no value here") as exc:
+            _compiled(trees)(0.5, 1.0, None)
+        assert exc.value.subexpr == Var("y")
+
+    def test_shared_subtree_computed_once(self, monkeypatch):
+        # t^2 and sin(3*t + 1) each appear in two trees; the tuple takes one
+        # power step per distinct power and one sine, and the values are the
+        # one-tree ones
+        trees = tuple(parse(s) for s in ("2*t^2 + t^1.5", "t^2*sin(3*t + 1)", "sin(3*t + 1)"))
+        fn = _compiled(trees)
+        steps = {"_power": 0, "_call": 0}
+        for name in steps:
+
+            def counted(*args, step=fn.__globals__[name], name=name):
+                steps[name] += 1
+                return step(*args)
+
+            monkeypatch.setitem(fn.__globals__, name, counted)
+        got = fn(0.37, None, None)
+        assert steps == {"_power": 2, "_call": 1}
+        assert got == tuple(evaluate(e, t=0.37) for e in trees)
+
+    def test_empty_tuple(self):
+        assert _compiled(())(0.5, None, None) == ()
+
+
+# Hand-built nodes whose strings are Python code with a visible side effect:
+# if any of that text reached the generated source and ran, the module named
+# _INJECTED would appear in sys.modules.
+_INJECTED = "_exprfield_injected"
+_PAYLOAD = f"__import__('sys').modules.__setitem__('{_INJECTED}', 1)"
+
+
+class TestHostileNodes:
+    @pytest.mark.parametrize(
+        "tree, error",
+        [
+            (Var(_PAYLOAD), ExprDomainError),
+            (BinOp("+", Num(1.0), Var(f"t or {_PAYLOAD}")), ExprDomainError),
+            (Var("__import__('os')"), ExprDomainError),
+            (BinOp("**", Num(2.0), Num(3.0)), TypeError),
+            (BinOp(f"+{_PAYLOAD}+", Num(2.0), Var("t")), TypeError),
+            (Call("eval", Num(1.0)), KeyError),
+            (Call(f"{_PAYLOAD} or sin", Var("t")), KeyError),
+            (Num(_PAYLOAD), TypeError),
+            (Neg(_PAYLOAD), TypeError),
+        ],
+    )
+    def test_raises_without_running(self, tree, error):
+        with pytest.raises(error):
+            evaluate(tree, t=0.5, x=0.25, y=0.75)
+        with pytest.raises(error):
+            _compiled((parse("t + 1"), tree))(0.5, 0.25, 0.75)
+        assert _INJECTED not in sys.modules
+
+    def test_unknown_variable_named(self):
+        tree = Var(_PAYLOAD)
+        with pytest.raises(ExprDomainError, match="has no value here") as exc:
+            evaluate(tree, t=0.5)
+        assert exc.value.subexpr == tree
+
+
+# The closure-based evaluator that the compiler replaced peaked at 34_604_370
+# bytes on this tree with x of 2^20 points (Python 3.11, numpy 2.4): four
+# arrays of x's size, the 1 MiB bool mask of a finite check and 1362 bytes of
+# small objects.  Python versions differ in the small objects, so the bound
+# allows 16 KiB of them.
+_CLOSURE_WALK_PEAK = 34_604_370
+
+
+def test_compiled_memory_no_higher_than_closure_walk():
+    # 36 nodes; x^2 is shared by two subtrees
+    e = parse("1.2 + 0.3*sin(2*t)*cos(pi*x) + 0.1*t*x^2 - exp(-x)*sqrt(1 + x^2)/(2 + t)")
+    x = np.linspace(0.0, 1.0, 2**20)
+    evaluate(e, t=0.3, x=x[:4])  # compiled outside the trace
+    tracemalloc.start()
+    try:
+        value = evaluate(e, t=0.3, x=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.shape == x.shape
+    assert peak <= _CLOSURE_WALK_PEAK + 16384
 
 
 class TestCompiledForm:

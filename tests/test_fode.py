@@ -10,6 +10,7 @@ import pytest
 
 from oracles import l1_march, ml_reference, pi_march
 
+from fracspec import fode
 from fracspec.fraccalc import _BLOCK_BYTES, GridSeries, TimeGrid, ml, ml_array, rl_integral
 from fracspec.fode import (
     _LEAF,
@@ -17,6 +18,7 @@ from fracspec.fode import (
     FractionalIVP,
     PicardDivergenceError,
     SingularStepError,
+    _is_diagonal,
     l1_solve,
     max_operator_norm,
     picard_apply,
@@ -206,6 +208,24 @@ class TestOperatorNorm:
         band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1)
         self.check(np.broadcast_to(band, (M + 1, N, N)))
 
+    def test_broadcast_reads_one_node(self, monkeypatch):
+        # regression: a broadcast A was pruned over all its nodes, forming
+        # 65537 differences of identical matrices (~1 s) for one SVD's answer
+        M, N = 65536, 64
+        A0 = np.random.default_rng(11).standard_normal((N, N))
+        A = np.broadcast_to(A0, (M + 1, N, N))
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.broadcast_to(np.zeros(N), (M + 1, N)))
+        nodes = []
+        distances = fode._distances
+
+        def spy(A, anchor):
+            nodes.append(len(A))
+            return distances(A, anchor)
+
+        monkeypatch.setattr(fode, "_distances", spy)
+        assert max_operator_norm(ivp) == np.linalg.norm(A0, 2)
+        assert nodes == [1]
+
     @pytest.mark.parametrize("M", [1, 2])
     def test_fewer_nodes_than_stride(self, M):
         rng = np.random.default_rng(M)
@@ -227,6 +247,45 @@ class TestOperatorNorm:
             tracemalloc.stop()
         assert peak < _BLOCK_BYTES + 8 * 8 * (M + 1)
         assert got == pytest.approx(np.linalg.norm(A, 2, axis=(1, 2)).max(), rel=1e-13, abs=0.0)
+
+
+class TestDiagonalTest:
+    # the march's test whether every node of A is diagonal
+
+    @staticmethod
+    def diagonal_nodes(M=9, N=3):
+        A = np.zeros((M + 1, N, N))
+        A[:, np.arange(N), np.arange(N)] = 1.0 + np.arange(M + 1)[:, None]
+        return A
+
+    @pytest.mark.parametrize("where", [None, 0, 4, 9])
+    def test_off_diagonal_at_any_node(self, where):
+        A = self.diagonal_nodes()
+        if where is not None:
+            A[where, 2, 0] = 1e-300
+        assert _is_diagonal(A) is (where is None)
+
+    def test_broadcast(self):
+        assert _is_diagonal(np.broadcast_to(np.diag([1.0, 2.0]), (7, 2, 2)))
+        assert not _is_diagonal(np.broadcast_to(np.ones((2, 2)), (7, 2, 2)))
+
+    @pytest.mark.parametrize("where", [0, 5, 600])
+    def test_stops_near_the_first_off_diagonal_node(self, monkeypatch, where):
+        # an off-diagonal entry at node `where` decides after reading at
+        # most twice that many nodes, not all 1001
+        A = self.diagonal_nodes(M=1000)
+        A[where, 0, 1] = 1.0
+        read = []
+        count_nonzero = np.count_nonzero
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                read.append(len(a))
+            return count_nonzero(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", spy)
+        assert not _is_diagonal(A)
+        assert sum(read) <= max(1, 2 * where)
 
 
 class TestFractionalIVP:

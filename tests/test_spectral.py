@@ -23,7 +23,8 @@ from fracspec.spectral import (
     quadrature_grid,
     stiffness_gram,
 )
-from fracspec.spectral import _tabulate, _Tabulation
+from fracspec import spectral
+from fracspec.spectral import _SLOTS, _plan, _Plan, _tabulate, _Tabulation
 
 from oracles import dense_form_2d, simpson
 
@@ -352,6 +353,114 @@ class TestHoistedAssembly:
         assemble(basis, coeffs, {}, 0.5)
         with pytest.raises(EllipticityError, match=r"at t=2\.0, x=\(0\.99"):
             assemble(basis, coeffs, {}, 2.0)
+
+
+def unstacked_reference(basis, coeffs, forcing, t):
+    """(A, f) at t with every expression evaluated on its own: the load mode
+    by mode, and A from the plan's K and each t-factor g_j, plus the rest
+    terms sampled and contracted, with no compiled tuple."""
+    n = basis.N
+    f = np.zeros(n)
+    for j, e in forcing.items():
+        if 1 <= j <= n:
+            f[j - 1] = float(evaluate(e, t=t))
+    plan = _plan(basis, tuple(coeffs.items()))
+    if plan.diagonal is not None:
+        return plan.diagonal, f
+    g = np.array([float(evaluate(e, t=t)) for e in plan.factors])
+    A = (g @ plan.K).reshape(n, n)
+    tab = _tabulate(basis)
+    for k, e in plan.rest.items():
+        R = np.broadcast_to(np.asarray(evaluate(e, t=t, **tab.env), dtype=float), tab.shape)
+        for row, col in _SLOTS[k]:
+            A += tab.contract(R, row, col)
+    return A, f
+
+
+# horizon1d-shaped data: the forcing shares t^2 and the sines with the
+# coefficients' t-factors, and mode 9 lies above N
+SHARED_COEFFS = {
+    "a11": "1.2 + 0.25*sin(3.5*t + 5.9)*cos(pi*x)",
+    "b1": "0.35*sin(3.3*t + 6.1)*sin(pi*x)",
+    "c": "0.7 + 0.5*sin(2.5*t + 5.2)*cos(pi*x) + 0.1*sin(x*t)",
+}
+SHARED_FORCING = {
+    1: "(-0.97)*t^1.5 + (-7.9)*t^2",
+    2: "(-1.6)*t^2*sin(3.5*t + 5.9) + (-0.36)*t^2*sin(3.3*t + 6.1)",
+    5: "t^2*sin(2.5*t + 5.2)",
+    9: "t",
+}
+
+
+class TestCompiledAssembly:
+    # assemble evaluates a node's forcing and the plan's t-factors in one
+    # compiled call and takes each ellipticity field as one product
+
+    @pytest.mark.parametrize("case", ["shared-1d", "partly-2d", "not-2d", "diagonal"])
+    def test_bitwise_equal_to_unstacked_reference(self, case):
+        if case == "shared-1d":
+            basis = build_basis(DomainGeometry((1.0,)), 6)
+            coeffs = {k: parse(v) for k, v in SHARED_COEFFS.items()}
+        elif case == "diagonal":
+            basis = build_basis(DomainGeometry((1.0,)), 6)
+            coeffs = {"a11": parse("2"), "c": parse("0.5")}
+        else:
+            basis, coeffs = split_case(case, 8)
+        forcing = {j: parse(v) for j, v in SHARED_FORCING.items()}
+        for t in (0.0, 0.37, 1.0, 2.5):
+            F = assemble(basis, coeffs, forcing, t)
+            A, f = unstacked_reference(basis, coeffs, forcing, t)
+            assert F.matrix.tobytes() == A.tobytes()
+            assert F.load.tobytes() == f.tobytes()
+
+    def test_non_split_diffusion(self):
+        # a11 has no g(t) h(x) term at all: its field is the rest alone, and
+        # a node where it turns negative still fails the ellipticity check
+        basis = build_basis(DomainGeometry((1.0,)), 6)
+        coeffs = {"a11": parse("exp(0.5*sin(x*t))"), "c": parse("t*x")}
+        plan = _plan(basis, tuple(coeffs.items()))
+        assert len(plan.samples["a11"][0]) == 0 and "a11" in plan.rest
+        for t in (0.0, 0.8):
+            A = assemble(basis, coeffs, {}, t).matrix
+            ref = per_node_reference(basis, coeffs, t)
+            assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+        with pytest.raises(EllipticityError, match=r"at t=12\.0"):
+            assemble(basis, {"a11": parse("sin(x*t + 1)")}, {}, 12.0)
+
+    def test_ellipticity_field_matches_unstacked_sum(self):
+        # the stacked product g[js] @ H against the per-term Python sum, on
+        # a 2-D case with every diffusion coefficient split into several terms
+        basis, coeffs = split_case("separable-2d", 8)
+        plan = _plan(basis, tuple(coeffs.items()))
+        tab = _tabulate(basis)
+        g = np.array([float(evaluate(e, t=0.6)) for e in plan.factors])
+        for k, (js, H) in plan.samples.items():
+            assert len(js) >= 2
+            stacked = g[js] @ H
+            summed = sum(g[j] * h for j, h in zip(js, H))
+            assert np.max(np.abs(stacked - summed)) <= 1e-15 * np.max(np.abs(summed))
+            assert H.shape == (len(js), math.prod(tab.shape))
+
+    def test_plan_built_once_for_two_forcings(self, monkeypatch):
+        built = [0]
+
+        class Counted(_Plan):
+            def __init__(self, *args):
+                built[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(spectral, "_Plan", Counted)
+        _plan.cache_clear()
+        basis = build_basis(DomainGeometry((1.0,)), 6)
+        coeffs = {k: parse(v) for k, v in SHARED_COEFFS.items()}
+        first = {j: parse(v) for j, v in SHARED_FORCING.items()}
+        second = {1: parse("t^3"), 3: parse("exp(-t)")}
+        for forcing in (first, second, first):
+            for t in (0.2, 0.9):
+                F = assemble(basis, coeffs, forcing, t)
+                A, f = unstacked_reference(basis, coeffs, forcing, t)
+                assert F.matrix.tobytes() == A.tobytes() and F.load.tobytes() == f.tobytes()
+        assert built[0] == 1
 
 
 class TestCheckEllipticity:
