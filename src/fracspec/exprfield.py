@@ -44,8 +44,12 @@ __all__ = [
     "to_source",
 ]
 
-FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
-DEFAULT_VARIABLES = ("t", "x", "y")
+# The names the parser accepts (the keys), with what the compiler writes for
+# each: a function's numpy ufunc, a variable's name in the generated code.
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+_VARIABLES = {"t": "t", "x": "x", "y": "y"}
+FUNCTIONS = tuple(_CALLS)
+DEFAULT_VARIABLES = tuple(_VARIABLES)
 
 
 class ExprSyntaxError(ValueError):
@@ -298,14 +302,13 @@ def variables_of(e: Expr) -> set:
 # evaluation (scalar or numpy-array values per variable)
 # ---------------------------------------------------------------------------
 
-# The compiler's fixed tables.  Generated source holds the text of these
-# tables, the names of the step functions below, and names the compiler makes
-# up: _v<i> for a computed value and _r<i> for an entry of the reference
-# table (constants, nodes, numpy functions).  No string or number of a tree
+# The compiler's fixed tables are _VARIABLES and _CALLS (top of the module)
+# and _ARITHMETIC.  Generated source holds the text of these tables, the
+# names of the step functions below, and names the compiler makes up: _v<i>
+# for a computed value and _r<i> for an entry of the reference table
+# (constants, nodes, numpy functions).  No string or number of a tree
 # reaches it.
-_VARIABLES = {"t": "t", "x": "x", "y": "y"}
 _ARITHMETIC = {"+": "+", "-": "-", "*": "*"}
-_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
 
 # The steps with a domain check.  Each takes the node it evaluates, to name
 # it in the error; checks on scalar values use math.isfinite, math.pow and

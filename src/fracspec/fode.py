@@ -14,7 +14,9 @@ Three routes with zero initial data (the RL and Caputo forms coincide):
 The orders hold for smooth solutions; on a uniform grid the t^alpha start of
 a solution with f(0) != 0 lowers both.  The two solvers share one implicit
 march, _implicit_march, whose steps solve (sigma I + A(t_m)) c_m = f(t_m) +
-history in O(N M log^2 M).
+history in O(N M log^2 M).  Both return the Galerkin coefficients as a
+fraccalc.GridSeries, the library's one time-series type: read-only values
+of shape (M+1, N), row m holding c(t_m) and row 0 exactly zero.
 
 A solve is sequential in time; distinct solves share no state and may run
 concurrently.
@@ -36,13 +38,13 @@ from .fraccalc import (
     _conv_tail,
     _fractional_integral_values,
     _l1_weights,
+    _max_norm,
     _pl_weights,
     ml_array,
 )
 
 __all__ = [
     "FractionalIVP",
-    "ModalTrajectory",
     "PicardLog",
     "PicardDivergenceError",
     "SingularStepError",
@@ -126,29 +128,6 @@ class FractionalIVP:
         return self.A.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ModalTrajectory:
-    """Galerkin coefficients c(t_m) per node."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (M+1, N)
-    alpha: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(len(v), 1)
-        if v.shape[0] != self.grid.M + 1:
-            raise ValueError("trajectory must have one row per node")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trajectory values must be finite")
-        if np.any(v[0] != 0.0):
-            raise ValueError("trajectories start from zero initial data")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
 @dataclass(frozen=True)
 class PicardLog:
     """Applications of the Volterra operator I^alpha(f - A .) (one: the
@@ -181,19 +160,6 @@ def _is_diagonal(A: np.ndarray) -> bool:
             return False
         lo, hi = hi, 2 * hi
     return True
-
-
-def _sup_norm(values: np.ndarray) -> float:
-    """max_m ||values_m||_2, the norm of the residual check.
-
-    The values are scaled by their largest entry before squaring, so every
-    finite trajectory has a finite norm; non-finite values give inf or nan.
-    """
-    scale = float(np.abs(values).max())
-    if scale == 0.0 or not math.isfinite(scale):
-        return scale
-    unit = values / scale
-    return scale * math.sqrt(np.einsum("mi,mi->m", unit, unit).max())
 
 
 def max_operator_norm(ivp: FractionalIVP) -> float:
@@ -349,7 +315,7 @@ def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
     return _fractional_integral_values(g, ivp.alpha, ivp.grid.dt)
 
 
-def picard_solve(ivp: FractionalIVP) -> tuple[ModalTrajectory, PicardLog]:
+def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
     """The fixed point of c = I^alpha(f - A c), with I^alpha by product
     integration: order 2 for smooth solutions, independent of the L1 scheme.
 
@@ -360,32 +326,34 @@ def picard_solve(ivp: FractionalIVP) -> tuple[ModalTrajectory, PicardLog]:
 
     (sigma I + A_m) c_m = f_m + a0_m f_0 + sum_{r=1}^{m-1} W[r] g_{m-r},  sigma = 1/s,
 
-    which _implicit_march solves directly for any step size.  The solution is
-    returned only if its fixed-point residual, by one application of
-    picard_apply, is <= _PICARD_TOL max(1, ||c||); PicardDivergenceError
-    otherwise.  SingularStepError names a node where sigma I + A_m is
-    singular.  The residual check costs O(N M log M) (an FFT convolution
-    above 2048 nodes), the march O(N M log^2 M).
+    which _implicit_march solves directly for any step size.  The solution,
+    a GridSeries of shape (M+1, N), is returned with its PicardLog only if
+    its fixed-point residual max_m ||c_m - picard_apply(ivp, c)_m||_2 (the
+    overflow-safe fraccalc._max_norm) is <= _PICARD_TOL max(1, ||c||);
+    PicardDivergenceError otherwise.  SingularStepError names a node where
+    sigma I + A_m is singular.  The residual check costs O(N M log M) (an FFT
+    convolution above 2048 nodes), the march O(N M log^2 M).
     """
     alpha = ivp.alpha
     a0, W = _pl_weights(alpha, ivp.grid.M)
     sigma = math.gamma(alpha + 2.0) / ivp.grid.dt**alpha
     # node 0 enters through a0 alone, with g_0 = f_0 since c_0 = 0
     c = _implicit_march(ivp, sigma, W, a0[:, None] * ivp.f[0], volterra=True)
-    residual = _sup_norm(c - picard_apply(ivp, c))
-    if not residual <= _PICARD_TOL * max(1.0, _sup_norm(c)):  # a NaN fails too
+    residual = _max_norm(c - picard_apply(ivp, c))
+    if not residual <= _PICARD_TOL * max(1.0, _max_norm(c)):  # a NaN fails too
         raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
-    return ModalTrajectory(ivp.grid, c, alpha), PicardLog(1, residual)
+    return GridSeries(ivp.grid, c), PicardLog(1, residual)
 
 
-def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
+def l1_solve(ivp: FractionalIVP) -> GridSeries:
     """Fully implicit L1 marching: (w0 I + A(t_m)) c_m = f(t_m) + history.
 
     The L1 scheme has order 2 - alpha for smooth solutions.
     w0 = dt^(-alpha)/Gamma(2-alpha); A and f are taken at the right endpoint.
     The history w0 sum_{j=1}^{m-1} d_j c_{m-j}, d_j = b_{j-1} - b_j with the
-    L1 weights b, is split by _implicit_march in O(N M log^2 M).
-    SingularStepError names a node where w0 I + A_m is singular.
+    L1 weights b, is split by _implicit_march in O(N M log^2 M).  Returns c
+    as a GridSeries of shape (M+1, N).  SingularStepError names a node where
+    w0 I + A_m is singular.
     """
     M = ivp.grid.M
     if M < 2:
@@ -394,7 +362,7 @@ def l1_solve(ivp: FractionalIVP) -> ModalTrajectory:
     # w0 d[j] weighs c_{m-j} for j = 1..M-1; d[0] unused
     kernel = w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
     c = _implicit_march(ivp, w0, kernel, np.zeros((M + 1, ivp.N)), volterra=False)
-    return ModalTrajectory(ivp.grid, c, ivp.alpha)
+    return GridSeries(ivp.grid, c)
 
 
 def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSeries:

@@ -50,20 +50,44 @@ _SERIES_CUT = 40.0
 _TAIL_CUT = 50.0
 
 
+def _log_recip_gamma(x: float) -> tuple[float, float]:
+    """(log |1/Gamma(x)|, sign of 1/Gamma(x)); (-inf, 0.0) at the poles
+    x = 0, -1, -2, ..., and below 0 by the reflection 1/Gamma(x) =
+    sin(pi x) Gamma(1 - x) / pi."""
+    if x > 0.0:
+        return -_lgamma(x), 1.0
+    if x == math.floor(x):
+        return -math.inf, 0.0
+    s = math.sin(math.pi * x)
+    return _lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi), math.copysign(1.0, s)
+
+
 def recip_gamma(x: float) -> float:
     """1/Gamma(x); exactly 0.0 at the poles x = 0, -1, -2, ..."""
     if x > 0.0:
         if x > 171.6:
             return 0.0  # Gamma overflows double; reciprocal underflows
         return 1.0 / gamma(x)
-    if x == math.floor(x):
-        return 0.0
-    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1 - x) / pi
-    s = math.sin(math.pi * x)
-    lv = _lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi)
+    lv, sign = _log_recip_gamma(x)
     if lv > _LN_DBL_MAX:
         raise OverflowError(f"1/Gamma({x}) exceeds the floating range")
-    return math.copysign(math.exp(lv), s)
+    return sign * math.exp(lv)
+
+
+def _max_norm(values: np.ndarray) -> float:
+    """max_m ||values_m||_2 over the rows of a 2-d array.
+
+    The values are scaled by their largest magnitude before squaring, so every
+    finite array has a finite norm.  One column's norm is that magnitude
+    exactly (its scaled squares are <= 1, and 1 at the max), so it is
+    returned without them.  Non-finite values give inf or nan, and no values
+    0.0.
+    """
+    scale = float(np.abs(values).max(initial=0.0))
+    if scale == 0.0 or not math.isfinite(scale) or values.shape[1] == 1:
+        return scale
+    unit = values / scale
+    return scale * math.sqrt(np.einsum("mi,mi->m", unit, unit).max())
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +204,13 @@ def _tail_table(a: float, b: float) -> np.ndarray:
     alpha.  Raw term magnitudes wiggle through the Gamma poles, so
     truncation is decided on a continuous envelope env: |1/Gamma(x)| <=
     1/Gamma(x) for x >= 1/2 and <= Gamma(1-x)/pi below (the two agree at
-    x = 1/2).  log_r is log |1/Gamma(x)| and sign_r its sign, x = b - a k.
+    x = 1/2).  log_r is log |1/Gamma(x)| and sign_r its sign, x = b - a k,
+    from _log_recip_gamma: a Gamma pole's sign 0 makes its term vanish exactly.
     """
     n_terms = max(_TAIL_TERMS, math.ceil(_TAIL_CUT / a))
-    env, log_r, sign_r = [], [], []
-    for k in range(1, n_terms + 1):
-        x = b - a * k
-        env.append(-_lgamma(x) if x >= 0.5 else _lgamma(1.0 - x) - math.log(math.pi))
-        if x > 0.0:
-            log_r.append(-_lgamma(x))
-            sign_r.append(1.0)
-        elif x == math.floor(x):
-            log_r.append(-math.inf)
-            sign_r.append(0.0)  # Gamma poles vanish exactly
-        else:
-            s = math.sin(math.pi * x)
-            log_r.append(_lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi))
-            sign_r.append(math.copysign(1.0, s))
+    xs = [b - a * k for k in range(1, n_terms + 1)]
+    env = [-_lgamma(x) if x >= 0.5 else _lgamma(1.0 - x) - math.log(math.pi) for x in xs]
+    log_r, sign_r = zip(*map(_log_recip_gamma, xs))
     table = np.array([env, log_r, sign_r])
     table.flags.writeable = False
     return table

@@ -36,6 +36,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .exprfield import BinOp, ExprDomainError, Neg, Num, _compiled, evaluate, variables_of
+from .fraccalc import _max_norm
 
 __all__ = [
     "DomainGeometry",
@@ -91,7 +92,8 @@ class SpectralBasis:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
+        # freeze a copy: the caller's array stays writeable
+        lam = np.array(self.eigenvalues, dtype=float)
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
 
@@ -153,7 +155,6 @@ class ModalVector:
 class AssembledForm:
     """Form matrix A(t)_ij = a(e_j, e_i; t) and modal load vector f(t)."""
 
-    t: float
     matrix: np.ndarray
     load: np.ndarray
 
@@ -279,22 +280,15 @@ def _sup_samples(e, env: dict) -> np.ndarray:
     return vals
 
 
-def _sup(e, env: dict) -> float:
-    """Sampled sup of |e|, inflated."""
-    return _SUP_INFLATION * float(np.max(np.abs(_sup_samples(e, env))))
-
-
 def _sup_norm(exprs: list, env: dict) -> float:
     """Sampled sup of the Euclidean magnitude of a vector of expressions
-    (0.0 for none), inflated.  Samples whose squares overflow are scaled by
-    their largest magnitude first."""
-    samples = [_sup_samples(e, env) for e in exprs]
-    with np.errstate(over="ignore"):
-        sq = np.max(sum(v**2 for v in samples))
-    if sq < math.inf:
-        return _SUP_INFLATION * float(np.sqrt(sq))
-    scale = max(float(np.max(np.abs(v))) for v in samples)
-    return _SUP_INFLATION * scale * float(np.sqrt(np.max(sum((v / scale) ** 2 for v in samples))))
+    (0.0 for none), inflated: fraccalc._max_norm of the samples, one column
+    per expression, so squares that would overflow are scaled first and one
+    expression gives its sampled max |e| exactly."""
+    if not exprs:
+        return 0.0
+    samples = np.stack([_sup_samples(e, env) for e in exprs], axis=-1)
+    return _SUP_INFLATION * _max_norm(samples.reshape(-1, len(exprs)))
 
 
 def _min_eigenvalue(avals: dict) -> np.ndarray:
@@ -487,7 +481,7 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     load = np.zeros(n)
     for j, v in zip(modes, values):
         load[j - 1] = v
-    return AssembledForm(t, plan.form(t, values[len(modes):]), load)
+    return AssembledForm(plan.form(t, values[len(modes):]), load)
 
 
 @dataclass(frozen=True)
@@ -538,7 +532,7 @@ def garding_constants(coeffs, geom: DomainGeometry, theta: float, T: float) -> t
         raise ValueError(f"ellipticity constant theta must be positive, got {theta}")
     env = _grid(geom, T, _SUP_SAMPLES)[1]
     bnorm = _sup_norm([coeffs[k] for k in _present(coeffs, geom.dim) if k[0] == "b"], env)
-    cnorm = _sup(coeffs["c"], env) if "c" in coeffs else 0.0
+    cnorm = _sup_norm([coeffs["c"]], env) if "c" in coeffs else 0.0
     nu = bnorm * bnorm / (2.0 * theta) + cnorm
     if nu == math.inf:  # ||b||^2 overflowed
         nu = bnorm * (bnorm / (2.0 * theta)) + cnorm
@@ -563,7 +557,7 @@ def continuity_constant(coeffs, geom: DomainGeometry, basis: SpectralBasis, T: f
     total = 0.0
     for key in _present(coeffs, geom.dim):
         mult = sum(com ** pair.count(None) for pair in _SLOTS[key])
-        total += mult * _sup(coeffs[key], env)
+        total += mult * _sup_norm([coeffs[key]], env)
     return total
 
 
@@ -598,15 +592,3 @@ def quadrature_grid(basis: SpectralBasis):
     """Points of the assembly quadrature grid (x array, or raveled (X, Y) arrays)."""
     grids = np.meshgrid(*_tabulate(basis).pts, indexing="ij")
     return tuple(g.ravel() for g in grids) if len(grids) > 1 else grids[0]
-
-
-def gram_matrix(basis: SpectralBasis) -> np.ndarray:
-    """Quadrature Gram matrix int e_i e_j; identity up to quadrature error."""
-    tab = _tabulate(basis)
-    return tab.contract(np.ones(tab.shape), None, None)
-
-
-def stiffness_gram(basis: SpectralBasis) -> np.ndarray:
-    """Quadrature matrix int De_i . De_j; diag(lambda) up to quadrature error."""
-    tab = _tabulate(basis)
-    return sum(tab.contract(np.ones(tab.shape), a, a) for a in tab.order)

@@ -13,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec.exprfield import (
+    _CALLS,
+    _VARIABLES,
+    DEFAULT_VARIABLES,
+    FUNCTIONS,
     _compiled,
     BinOp,
     Call,
@@ -25,7 +29,7 @@ from fracspec.exprfield import (
     parse,
     to_source,
 )
-from fracspec.spectral import _SUP_SAMPLES, DomainGeometry, _grid, _sup, _sup_norm, _sup_samples
+from fracspec.spectral import _SUP_SAMPLES, DomainGeometry, _grid, _sup_norm, _sup_samples
 
 from oracles import DomainFault, tree_value
 
@@ -86,6 +90,16 @@ class TestParse:
     def test_scientific_numbers(self):
         assert evaluate(parse("1.5e-2")) == 0.015
         assert evaluate(parse(".5")) == 0.5
+
+
+def test_every_parsed_name_compiles():
+    # the parser's names are the compiler's tables: each function it accepts
+    # is its numpy ufunc, each variable reads its own argument
+    assert FUNCTIONS == tuple(_CALLS) and DEFAULT_VARIABLES == tuple(_VARIABLES)
+    for fn in FUNCTIONS:
+        assert evaluate(parse(f"{fn}(0.25)")) == _CALLS[fn](0.25)
+    for i, v in enumerate(DEFAULT_VARIABLES):
+        assert evaluate(parse(v), **{w: float(j) for j, w in enumerate(DEFAULT_VARIABLES)}) == float(i)
 
 
 class TestEvaluate:
@@ -410,16 +424,16 @@ class TestSupBound:
         return _grid(DomainGeometry(lengths), T, _SUP_SAMPLES)[1]
 
     def test_constant(self):
-        assert _sup(parse("2.5"), self.env()) == pytest.approx(1.05 * 2.5, rel=1e-14)
-        assert _sup(parse("-2.5"), self.env()) == pytest.approx(1.05 * 2.5, rel=1e-14)
+        assert _sup_norm([parse("2.5")], self.env()) == pytest.approx(1.05 * 2.5, rel=1e-14)
+        assert _sup_norm([parse("-2.5")], self.env()) == pytest.approx(1.05 * 2.5, rel=1e-14)
 
     def test_sine(self):
-        b = _sup(parse("sin(pi*x)"), self.env())
+        b = _sup_norm([parse("sin(pi*x)")], self.env())
         assert 1.0 <= b <= 1.05
 
     def test_bilinear_against_dense_oracle(self):
         # brute-force dense sampling oracle at ~10^6 points
-        b = _sup(parse("t*x"), self.env())
+        b = _sup_norm([parse("t*x")], self.env())
         t = np.linspace(0.0, 1.0, 1000)
         x = np.linspace(0.0, 1.0, 1000)
         dense = np.max(np.abs(np.outer(t, x)))
@@ -427,7 +441,7 @@ class TestSupBound:
 
     def test_bound_dominates_assembly_samples(self):
         e = parse("sin(3*x)*exp(t)+0.25*t")
-        b = _sup(e, self.env(T=2.0))
+        b = _sup_norm([e], self.env(T=2.0))
         # any grid no finer than the 64-point sampling
         t, x = np.meshgrid(np.linspace(0.0, 2.0, 48), np.linspace(0.0, 1.0, 48), indexing="ij")
         assert b >= np.max(np.abs(evaluate(e, t=t, x=x)))
@@ -462,5 +476,5 @@ class TestSupBound:
     def test_rejects_wrong_variables(self):
         # y on an interval has no value: no sample reads it as 0
         with pytest.raises(ExprDomainError, match="variable 'y' has no value here") as exc:
-            _sup(parse("y"), self.env())
+            _sup_norm([parse("y")], self.env())
         assert exc.value.subexpr == Var("y")

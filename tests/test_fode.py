@@ -439,6 +439,31 @@ class TestPicard:
         np.testing.assert_allclose(huge.values, 1e200 * unit.values, rtol=1e-12, atol=0.0)
 
 
+class TestSolverOutput:
+    # both solvers return the coefficients as the library's one time series
+    # type; the march builds c from zeros, so row 0 is exactly zero
+    @pytest.mark.parametrize("solve", [l1_solve, lambda ivp: picard_solve(ivp)[0]], ids=["l1", "picard"])
+    def test_read_only_grid_series_from_zero(self, solve):
+        ivp = dense_system()
+        c = solve(ivp)
+        assert type(c) is GridSeries and c.grid is ivp.grid
+        assert c.values.shape == (ivp.grid.M + 1, ivp.N) and ivp.N > 1
+        assert not c.values.flags.writeable
+        with pytest.raises(ValueError):
+            c.values[1, 0] = 0.0
+        assert np.all(np.isfinite(c.values))
+        assert np.all(c.values[0] == 0.0) and np.all(c.values[1] != 0.0)
+
+    def test_empty_system(self):
+        # regression: with N = 0 the Picard residual's max norm reduced an
+        # empty array and raised, where l1_solve returned
+        g = TimeGrid(1.0, 8)
+        ivp = FractionalIVP(0.5, g, np.zeros((9, 0, 0)), np.zeros((9, 0)))
+        c, log = picard_solve(ivp)
+        assert c.values.shape == l1_solve(ivp).values.shape == (9, 0)
+        assert log.residual == 0.0
+
+
 class TestL1Solve:
     def test_zero_forcing(self):
         assert np.all(l1_solve(scalar_ivp(q=0.0)).values == 0.0)

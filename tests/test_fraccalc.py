@@ -17,7 +17,7 @@ from fracspec import (
     rl_integral,
     rl_integral_left,
 )
-from fracspec.fraccalc import _BLOCK_BYTES, _DIRECT_ROWS, _causal_conv, _conv_tail, _pl_weights, ml_array
+from fracspec.fraccalc import _BLOCK_BYTES, _DIRECT_ROWS, _causal_conv, _conv_tail, _max_norm, _pl_weights, ml_array
 
 
 def series(T, M, fn):
@@ -383,3 +383,35 @@ class TestIntegrationByParts:
         h = series(1.0, 128, lambda t: t)
         with pytest.raises(ValueError):
             integration_by_parts_residual(f, h, 0.5)
+
+
+class TestMaxNorm:
+    # the one overflow-safe max_m ||v_m||_2: the Picard residual check and the
+    # sampled sup bounds of the paper's constants
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 7.5e5, 1e300])
+    def test_one_component_is_max_abs(self, scale):
+        v = scale * np.random.default_rng(4).standard_normal(1001)
+        assert _max_norm(v[:, None]) == np.abs(v).max()
+
+    def test_rows(self):
+        v = np.random.default_rng(5).standard_normal((300, 7))
+        ref = np.linalg.norm(v, axis=1).max()
+        assert _max_norm(v) == pytest.approx(ref, rel=4 * np.finfo(float).eps)
+
+    def test_finite_on_huge_rows(self):
+        # the squares overflow; the scaled norm does not
+        got = _max_norm(np.full((5, 3), 1e200))
+        assert math.isfinite(got)
+        assert got == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+
+    def test_non_finite(self):
+        v = np.ones((4, 2))
+        v[2, 1] = math.inf
+        assert _max_norm(v) == math.inf
+        v[1, 0] = math.nan
+        assert math.isnan(_max_norm(v))
+
+    def test_zeros(self):
+        assert _max_norm(np.zeros((6, 3))) == 0.0
+        assert _max_norm(np.zeros((6, 0))) == 0.0

@@ -132,6 +132,63 @@ def test_recip_gamma_poles_and_reflection():
     assert recip_gamma(-0.5) == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13)
 
 
+# recip_gamma and rows of the tail table as float.hex, recorded when each
+# had its own copy of the reflection formula; sharing _log_recip_gamma keeps
+# the bits of every branch (x > 0, a pole, the reflection with either sign,
+# the underflow and overflow ranges)
+RECIP_GAMMA_HEX = {
+    0.5: "0x1.20dd750429b6dp-1",
+    2.5: "0x1.812746b0379e6p-1",
+    171.5: "0x0.7951f58fd6320p-1022",
+    171.7: "0x0.0p+0",
+    -0.5: "-0x1.20dd750429b6cp-2",
+    -1.5: "0x1.b14c2f863e927p-2",
+    -2.25: "-0x1.25c711fa6a830p-1",
+    -7.3: "0x1.2ac40d699a19bp+11",
+    -170.6: "-0x1.11794e23374c7p+1022",
+    -3.0: "0x0.0p+0",
+    0.0: "0x0.0p+0",
+}
+
+# (alpha, beta) -> k -> (env, log_r, sign_r) at x = beta - alpha k
+TAIL_TABLE_HEX = {
+    (0.5, 1.25): {
+        2: ("-0x1.e20598405c102p-1", "-0x1.49bbd81c16efap+0", "0x1.0000000000000p+0"),
+        3: ("-0x1.3e355c6206cafp+0", "-0x1.96ee685defb2bp+0", "-0x1.0000000000000p+0"),
+        5: ("-0x1.05156cd2d196dp+0", "-0x1.5dce78ceba7e9p+0", "0x1.0000000000000p+0"),
+        399: ("0x1.aa68c447ebeaap+9", "0x1.aa3c67c1edf63p+9", "-0x1.0000000000000p+0"),
+    },
+    (0.3, 1.0): {
+        1: ("-0x1.0b20c891cde79p-2", "-0x1.0b20c891cde79p-2", "0x1.0000000000000p+0"),
+        5: ("-0x1.43f89a3f0edd7p+0", "-0x1.43f89a3f0edd7p+0", "-0x1.0000000000000p+0"),
+        10: ("-0x1.ce6bb25aa131cp-2", "-inf", "0x0.0p+0"),
+        399: ("0x1.c2720f65c71a8p+8", "0x1.c23bce008a5d1p+8", "-0x1.0000000000000p+0"),
+    },
+    (0.75, 0.5): {
+        2: ("-0x1.250d048e7a1bdp+0", "-inf", "0x0.0p+0"),
+        3: ("-0x1.56cab2e2fedf6p-1", "-0x1.041e656d68576p+0", "0x1.0000000000000p+0"),
+        4: ("0x1.ccbf9f5ed0ee0p-5", "0x1.ccbf9f5ed0ee0p-5", "-0x1.0000000000000p+0"),
+        399: ("0x1.5fa8714434038p+10", "0x1.5f92430135094p+10", "-0x1.0000000000000p+0"),
+    },
+}
+
+
+def test_recip_gamma_recorded_values():
+    for x, want in RECIP_GAMMA_HEX.items():
+        assert recip_gamma(x).hex() == want, x
+    with pytest.raises(OverflowError):
+        recip_gamma(-180.5)
+
+
+@pytest.mark.parametrize("params", TAIL_TABLE_HEX, ids=str)
+def test_tail_table_recorded_rows(params):
+    from fracspec.fraccalc import _tail_table
+
+    table = _tail_table(*params)
+    for k, want in TAIL_TABLE_HEX[params].items():
+        assert tuple(float(v).hex() for v in table[:, k - 1]) == want, k
+
+
 def test_exponential_identity_deep_negative_axis():
     # alpha = 1 below -40 runs the mpmath series, whose sum lies exp(-2|z|)
     # below its largest term: the precision must cover twice |z|/ln(10) digits

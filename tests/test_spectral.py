@@ -16,12 +16,10 @@ from fracspec.spectral import (
     check_ellipticity,
     continuity_constant,
     garding_constants,
-    gram_matrix,
     modal_norms,
     poincare_constant,
     project,
     quadrature_grid,
-    stiffness_gram,
 )
 from fracspec import spectral
 from fracspec.spectral import _SLOTS, _plan, _Plan, _tabulate, _Tabulation
@@ -69,6 +67,14 @@ class TestBuildBasis:
             b = build_basis(geom, 20)
             assert np.all(np.diff(b.eigenvalues) >= -1e-13)
 
+    def test_caller_eigenvalues_stay_writeable(self):
+        # regression: the basis froze the caller's own array instead of a copy
+        lam = np.array([1.0, 4.0])
+        b = spectral.SpectralBasis(DomainGeometry((1.0,)), 2, (1, 2), lam)
+        assert lam.flags.writeable and not b.eigenvalues.flags.writeable
+        lam[0] = 7.0
+        assert b.eigenvalues[0] == 1.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             build_basis(DomainGeometry((1.0,)), 0)
@@ -83,22 +89,27 @@ class TestBuildBasis:
 
 
 class TestOrthonormality:
+    # the assembly quadrature's contraction of a unit field: the Gram matrix
+    # int e_i e_j and the stiffness matrix int De_i . De_j of the basis
     def test_interval_n64(self):
         b = build_basis(DomainGeometry((1.5,)), 64)
-        G = gram_matrix(b)
+        tab = _tabulate(b)
+        G = tab.contract(np.ones(tab.shape), None, None)
         assert np.max(np.abs(G - np.eye(64))) <= 1e-10
-        S = stiffness_gram(b)
+        S = tab.contract(np.ones(tab.shape), 0, 0)
         assert np.max(np.abs(S - np.diag(b.eigenvalues))) <= 1e-7 * b.eigenvalues[-1]
 
     def test_rectangle_n16(self):
         b = build_basis(DomainGeometry((1.0, 0.7)), 16)
-        G = gram_matrix(b)
+        tab = _tabulate(b)
+        G = tab.contract(np.ones(tab.shape), None, None)
         assert np.max(np.abs(G - np.eye(16))) <= 1e-10
 
     @pytest.mark.parametrize("lengths", BOXES)
     def test_rectangle_stiffness(self, lengths):
         b = build_basis(DomainGeometry(lengths), 40)
-        S = stiffness_gram(b)
+        tab = _tabulate(b)
+        S = sum(tab.contract(np.ones(tab.shape), a, a) for a in tab.order)
         assert np.max(np.abs(S - np.diag(b.eigenvalues))) <= 1e-10 * b.eigenvalues[-1]
 
 
