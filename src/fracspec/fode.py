@@ -99,6 +99,9 @@ class FractionalIVP:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        # a cast to float would drop an imaginary part with only a warning
+        if np.iscomplexobj(self.A) or np.iscomplexobj(self.f):
+            raise ValueError("A and f must be real, got complex values")
         A = np.asarray(self.A, dtype=float)
         f = np.asarray(self.f, dtype=float)
         if f.ndim == 1:
@@ -378,8 +381,8 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if lam < 0.0:
-        raise ValueError(f"decay rate must be nonnegative, got {lam}")
+    if not (0.0 <= lam < math.inf):  # a NaN fails too
+        raise ValueError(f"decay rate lam must be a nonnegative finite real, got {lam}")
     vals = np.asarray(f.values, dtype=float)
     if vals.ndim != 1:
         raise ValueError("variation_of_constants solves scalar problems")

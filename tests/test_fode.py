@@ -341,6 +341,19 @@ class TestFractionalIVP:
         with pytest.raises(ValueError, match="finite"):
             FractionalIVP(0.5, TimeGrid(1.0, M), A, f)
 
+    @pytest.mark.parametrize("where", ["A", "f"])
+    def test_rejects_complex(self, where):
+        # regression: the cast to float dropped the imaginary part with only
+        # a ComplexWarning, so l1_solve on a complex A solved its real part
+        M = 6
+        A, f = np.ones((M + 1, 2, 2)), np.ones((M + 1, 2))
+        if where == "A":
+            A = A + 0.5j * np.eye(2)
+        else:
+            f = f + 0.5j
+        with pytest.raises(ValueError, match="real"):
+            FractionalIVP(0.5, TimeGrid(1.0, M), A, f)
+
 
 class TestPicard:
     def test_zero_forcing_one_iteration(self):
@@ -554,6 +567,14 @@ class TestVariationOfConstants:
         g = TimeGrid(1.0, 64)
         out = variation_of_constants(1.0, GridSeries(g, np.zeros(65)), 0.5)
         assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_lambda(self, lam):
+        # regression: NaN and +inf passed the check; NaN failed inside
+        # ml_array, +inf warned "invalid value encountered in multiply"
+        g = TimeGrid(1.0, 8)
+        with pytest.raises(ValueError, match="lam"):
+            variation_of_constants(lam, GridSeries(g, np.ones(9)), 0.5)
 
     def test_lambda_zero_is_fractional_integral(self):
         g = TimeGrid(1.0, 256)

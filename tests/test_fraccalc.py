@@ -41,6 +41,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             GridSeries(TimeGrid(1.0, 4), np.array([0.0, 1.0, np.nan, 0.0, 0.0]))
 
+    def test_rejects_complex_values(self):
+        # regression: the cast to float dropped the imaginary part with only
+        # a ComplexWarning
+        with pytest.raises(ValueError, match="real"):
+            GridSeries(TimeGrid(1.0, 4), np.ones(5) + 1e-3j)
+
     def test_values_immutable(self):
         s = series(1.0, 8, lambda t: t)
         with pytest.raises(ValueError):
@@ -339,6 +345,11 @@ class TestConvolve:
             Kernel.l(1.5)
         with pytest.raises(ValueError):
             Kernel.kn(0.5, 0)
+        # regression: n < 1 is False for NaN, and convolve then failed inside
+        # ml_array ("arguments must be finite")
+        for n in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="index n"):
+                Kernel.kn(0.5, n)
 
 
 class TestIntegrationByParts:

@@ -83,15 +83,16 @@ def test_deep_negative_axis_via_independent_erfc():
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
 @pytest.mark.parametrize("beta", [1.0, 1.5])
 def test_branch_agreement_near_switch(alpha, beta):
-    # the algebraic asymptotic (used past |z|^(1/alpha) = 50) and the contour
-    # route (used before it) must agree where both are valid
+    # the algebraic asymptotic (valid past |z|^(1/alpha) = 50) and the contour
+    # must agree where both are valid
     from fracspec.fraccalc import _algebraic_tail, _contour
 
     for z in (-41.0, -55.0):
         asym, converged = _algebraic_tail(alpha, beta, z)
         assert converged
-        robust = _contour(alpha, beta, np.array([z]))[0]
-        assert asym == pytest.approx(robust, rel=5e-11)
+        robust, certified = _contour(alpha, beta, np.array([z]))
+        assert certified[0]
+        assert asym == pytest.approx(robust[0], rel=5e-11)
 
 
 def test_monotone_decreasing_on_negative_axis():
@@ -223,8 +224,9 @@ def test_ml_array_keeps_shape(shape):
 def test_ml_array_mixed_branches(alpha, beta):
     # one array through every branch open at alpha: z = 0, the positive
     # series, the exponential asymptotic (where exp(z**(1/alpha)) fits a
-    # double), the contour, the mpmath series where the contour's bound hands
-    # a point on, and past |z|^(1/alpha) = 50 the algebraic tail (alpha < 1)
+    # double), the contour, past |z|^(1/alpha) = 50 the algebraic tail
+    # (alpha < 1) where the contour's bound rejects a point, and the mpmath
+    # series where neither settles it
     z = [0.0, 2.5, -0.2, -1.2, -3.0, -8.0, -15.0, -45.0, -300.0]
     if 45.0 ** (1.0 / alpha) < 700.0:
         z.append(45.0)
@@ -241,13 +243,17 @@ def test_ml_array_mixed_branches(alpha, beta):
 
 def test_cancelled_float_series_takes_robust_route():
     # E_{0.9,0.4}(-0.678) lies ~1e-4 below the largest term of its series
-    # and near a zero of E: the contour's rounding bound hands it to the
-    # mpmath series, also inside a batch
-    from fracspec.fraccalc import _contour
+    # and near a zero of E: the contour's rounding bound does not certify
+    # it, and inside a batch it takes the mpmath series while its
+    # neighbours keep the contour's values
+    from fracspec.fraccalc import _contour, _series_mp
 
     z = np.array([-0.2, -0.677947, -0.5])
     got = ml_array(0.9, z, 0.4)
-    assert got[1] == _contour(0.9, 0.4, z[1:2])[0]
+    robust, certified = _contour(0.9, 0.4, z)
+    assert certified.tolist() == [True, False, True]
+    assert got[::2].tobytes() == robust[::2].tobytes()
+    assert got[1] == _series_mp(0.9, 0.4, z[1:2])[0]
     for zi, gi in zip(z, got):
         assert gi == pytest.approx(ml_reference(0.9, 0.4, zi), rel=5e-12, abs=0)
 
@@ -278,6 +284,24 @@ def test_ml_array_memory_bounded():
         tracemalloc.start()
         try:
             ml_array(0.5, z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(100_000)
+    assert large <= 8 * 2**20
+    assert large - small <= 10 * 8 * 90_000
+
+
+def test_ml_array_memory_bounded_on_contour_rejects():
+    # at beta = alpha the contour certifies none of these points (all past
+    # the cut), so every one goes on to the algebraic tail: the rejects'
+    # indices and the tail's values add a few doubles a point, no more
+    def peak(n):
+        z = -np.linspace(40.0, 100.0, n)
+        tracemalloc.start()
+        try:
+            ml_array(0.9, z, 0.9)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,8 +356,9 @@ def test_contour_reduces_large_beta(beta):
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 0.99])
 def test_tail_just_past_the_cut(alpha):
-    # past |z|^(1/alpha) = 50 the algebraic tail serves alone; at the cut its
-    # truncation error is ~exp(-50)
+    # past |z|^(1/alpha) = 50 the contour, or the algebraic tail where the
+    # contour does not certify a point; at the cut the tail's truncation
+    # error is ~exp(-50)
     for beta in (0.05, 1.0, alpha + 1.0, 4.0):
         for s in (50.001, 52.0):
             z = -(s**alpha)
@@ -345,8 +370,8 @@ def test_tail_just_past_the_cut_small_alpha(alpha, beta):
     # below alpha ~ 0.13 the tail needs more than 399 terms at the cut (its
     # smallest lies near k = 50/alpha), so its table grows to 50/alpha
     # terms (399 leave E_{0.01,0.05}(-50.001^0.01) 4e-6 off).  The tail
-    # itself converges: behind it the contour hands E_{0.01,0.05} to the
-    # extended-precision series, |z|^(1/alpha) / alpha terms a point
+    # itself converges; ml_array takes the contour's value here, which the
+    # contour certifies at both parameters
     from fracspec.fraccalc import _algebraic_tail
 
     z = -(50.001**alpha)
@@ -357,12 +382,16 @@ def test_tail_just_past_the_cut_small_alpha(alpha, beta):
     assert abs(ml(alpha, z, beta) / expected - 1.0) <= 1e-12
 
 
-def test_unconverged_tail_points_take_the_contour(monkeypatch):
-    # a tail point that reports no convergence is served by the contour
-    # route instead, in a batch with converged ones
+def test_contour_rejects_take_the_tail_then_the_series(monkeypatch):
+    # at beta = alpha the contour certifies no point past the cut: in a
+    # batch, a reject the tail reports converged takes the tail's value bit
+    # for bit, and one it does not goes to the mpmath series; the tail's
+    # unconverged values are never used
     from fracspec import fraccalc
 
     tail = fraccalc._algebraic_tail
+    series_mp = fraccalc._series_mp
+    taken = []
 
     def half_converged(a, b, z):
         val, converged = tail(a, b, z)
@@ -370,26 +399,90 @@ def test_unconverged_tail_points_take_the_contour(monkeypatch):
         return val * 2.0, converged  # the unconverged values must not be used
 
     monkeypatch.setattr(fraccalc, "_algebraic_tail", half_converged)
-    z = -np.array([60.0, 70.0, 80.0]) ** 0.9
-    got = ml_array(0.9, z)
-    assert got[1] == 2.0 * tail(0.9, 1.0, z[1])[0]
-    for zi in z[::2]:
-        assert abs(ml(0.9, zi) / ml_reference(0.9, 1.0, zi) - 1.0) <= 1e-12
+    monkeypatch.setattr(fraccalc, "_series_mp", lambda a, b, zz: taken.append(zz) or series_mp(a, b, zz))
+    z = -np.array([60.0, 70.0, 80.0, 90.0]) ** 0.9
+    assert not fraccalc._contour(0.9, 0.9, z)[1].any()
+    got = ml_array(0.9, z, 0.9)
+    assert got[1::2].tobytes() == (2.0 * tail(0.9, 0.9, z)[0][1::2]).tobytes()
+    assert len(taken) == 1 and taken[0].tobytes() == z[::2].tobytes()
+    for zi, gi in zip(z[::2], got[::2]):
+        assert abs(gi / ml_reference(0.9, 0.9, zi) - 1.0) <= 1e-12
 
 
 def test_tail_table_built_once_per_parameters():
     # the tail's 1/Gamma(beta - alpha k) table depends on (alpha, beta) only:
     # a second call at the same parameters reuses it and returns the same bits
-    from fracspec.fraccalc import _tail_table
+    from fracspec.fraccalc import _contour, _tail_table
 
     _tail_table.cache_clear()
-    z = -np.linspace(10.0, 40.0, 50)  # |z|^(1/alpha) >= 100: all on the tail
-    first = ml_array(0.5, z, 1.25)
-    second = ml_array(0.5, z, 1.25)
+    z = -np.linspace(40.0, 100.0, 50)  # |z|^(1/alpha) >= 60, past the cut
+    assert not _contour(0.9, 0.9, z)[1].any()  # all contour rejects: on the tail
+    first = ml_array(0.9, z, 0.9)
+    second = ml_array(0.9, z, 0.9)
     info = _tail_table.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first.tobytes() == second.tobytes()
-    assert not _tail_table(0.5, 1.25).flags.writeable
+    assert not _tail_table(0.9, 0.9).flags.writeable
+
+
+# points sent to _series_mp by ml_array(alpha, -linspace(0, 45, 2000), beta)
+# for beta in {1, alpha, alpha + 1}, recorded when the tail came before the
+# contour; every (alpha, beta) not listed sends none
+BASELINE_MP_POINTS = {
+    (0.8, 0.8): 91,
+    (0.9, 0.9): 894,
+    (0.95, 0.95): 1398,
+    (0.99, 0.99): 1683,
+    (0.995, 1.0): 1621,
+    (0.995, 0.995): 1693,
+    (1.0, 1.0): 1702,
+}
+
+
+def test_series_mp_points_on_the_baseline_sweep(monkeypatch):
+    # a point reaches the mpmath series only if neither float route settles
+    # it, in whichever order they run: the count per (alpha, beta) is the
+    # recorded one.  The series is stubbed out; only its points are counted
+    from fracspec import fraccalc
+
+    counts = {}
+
+    def count(a, b, z):
+        counts[a, b] = counts.get((a, b), 0) + np.size(z)
+        return np.zeros(np.shape(z))
+
+    monkeypatch.setattr(fraccalc, "_series_mp", count)
+    z = -np.linspace(0.0, 45.0, 2000)
+    for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 1.0):
+        for beta in {1.0, alpha, alpha + 1.0}:
+            ml_array(alpha, z, beta)
+    assert counts == BASELINE_MP_POINTS
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_contour_agrees_with_tail_past_the_cut(alpha):
+    # on the tail's domain, |z|^(1/alpha) from the cut to 1e6, the contour
+    # certifies every point at the betas the library evaluates, and its
+    # values agree with the converged tail's
+    from fracspec.fraccalc import _TAIL_CUT, _algebraic_tail, _contour
+
+    z = -np.geomspace(_TAIL_CUT * (1.0 + 1e-12), 1e6, 1000) ** alpha
+    for beta in (1.0, alpha + 1.0, alpha + 2.0):
+        robust, certified = _contour(alpha, beta, z)
+        asym, converged = _algebraic_tail(alpha, beta, z)
+        assert certified.all() and converged.all(), beta
+        assert np.abs(robust / asym - 1.0).max() <= 1e-13, beta
+
+
+def test_tiny_arguments_after_the_beta_reduction():
+    # reducing beta > 3 divides by z twice or more: at a tiny |z| the
+    # contour's value and bound overflow to inf, and an infinite value with
+    # an infinite bound was certified (E_{0.5,4}(-1e-200) read inf).  Such
+    # points are not certified and take the mpmath series, E ~ 1/Gamma(beta)
+    for z in (-1e-320, -1e-200, -1e-160):
+        for beta in (4.0, 5.0, 7.0):
+            got = ml(0.5, z, beta)
+            assert got == pytest.approx(1.0 / math.gamma(beta), rel=1e-14), (z, beta)
 
 
 def test_tail_matches_full_table_reference():
