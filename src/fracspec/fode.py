@@ -14,9 +14,13 @@ Three routes with zero initial data (the RL and Caputo forms coincide):
 The orders hold for smooth solutions; on a uniform grid the t^alpha start of
 a solution with f(0) != 0 lowers both.  The two solvers share one implicit
 march, _implicit_march, whose steps solve (sigma I + A(t_m)) c_m = f(t_m) +
-history in O(N M log^2 M).  Both return the Galerkin coefficients as a
-fraccalc.GridSeries, the library's one time-series type: read-only values
-of shape (M+1, N), row m holding c(t_m) and row 0 exactly zero.
+history in O(N M log^2 M).  When a diagonal A does not depend on t (the
+autonomous case, every Mittag-Leffler oracle) the step's resolvent is formed
+once per march and a block of nodes is one FFT product with it, with no
+Python step per node, wherever that keeps each mode's relative accuracy.
+Both return the Galerkin coefficients as a fraccalc.GridSeries, the
+library's one time-series type: read-only values of shape (M+1, N), row m
+holding c(t_m) and row 0 exactly zero.
 
 A solve is sequential in time; distinct solves share no state and may run
 concurrently.
@@ -32,10 +36,12 @@ import numpy as np
 from .fraccalc import (
     GridSeries,
     TimeGrid,
+    _BLOCK_BYTES,
     _EPS,
     _blocks,
     _causal_conv,
     _conv_tail,
+    _fft_rows,
     _fractional_integral_values,
     _l1_weights,
     _max_norm,
@@ -58,6 +64,12 @@ __all__ = [
 # _implicit_march solves blocks of at most this many nodes directly; the time
 # hardly depends on it between 32 and 256
 _LEAF = 64
+
+# A column of a time-constant diagonal leaf takes the FFT product when
+# max|rho| max|b| over the leaf is at most this many times the column's scale
+# (_implicit_march); the product's rounding is then at most about this many
+# times the far history's, relative to the values met so far
+_LEAF_GROWTH = 64.0
 
 # max_operator_norm takes one SVD per this many nodes to bound the others
 _STRIDE = 32
@@ -236,6 +248,42 @@ def _distances(A: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _is_time_constant(A: np.ndarray) -> bool:
+    """Whether every node of A equals node 0 exactly.
+
+    A broadcast in time is read at one node (_distinct_nodes).  Otherwise the
+    nodes after node 0 are compared with it in blocks of 1, 2, 4, ... nodes,
+    each block's boolean temporary within _BLOCK_BYTES, returning at the
+    first block that differs: at most twice the nodes up to the first one
+    that differs are read, and a constant A is read once.
+    """
+    nodes = _distinct_nodes(A)
+    first = nodes[0]
+    cap = max(1, _BLOCK_BYTES // max(1, first.size))
+    lo, step = 1, 1
+    while lo < len(nodes):
+        if np.not_equal(nodes[lo : lo + step], first).any():
+            return False
+        lo, step = lo + step, min(2 * step, cap)
+    return True
+
+
+def _check_diagonal_steps(sigma: float, diag: np.ndarray, lo: int) -> np.ndarray:
+    """The denominators sigma + diag of diagonal steps at nodes lo, lo+1, ...
+    (diag one row a node); SingularStepError names the first zero in node
+    order and, at its node, the first singular mode's eigenvalue."""
+    denom = sigma + diag
+    zero = denom == 0.0
+    if zero.any():
+        j, k = divmod(int(np.argmax(zero)), diag.shape[1])
+        raise SingularStepError(
+            f"singular implicit step at node {lo + j}: eigenvalue ~ -sigma = {-sigma}",
+            node=lo + j,
+            eigenvalue_estimate=float(diag[j, k]),
+        )
+    return denom
+
+
 def _implicit_march(
     ivp: FractionalIVP, sigma: float, kernel: np.ndarray, far: np.ndarray, volterra: bool
 ) -> np.ndarray:
@@ -243,46 +291,61 @@ def _implicit_march(
 
     (sigma I + A_m) c_m = f_m + hist_m,  hist_m = far_m + sum_{r=1}^{m-1} kernel[r] h_{m-r},
 
-    where h = c, or h = f - A c when volterra.  The latter is read off the step
-    equation as h_m = sigma c_m - hist_m, with no product by A.  far (M+1, N)
-    holds any history known beforehand and is overwritten.
+    where h = c, or h = f - A c when volterra.  far (M+1, N) holds any
+    history known beforehand and is overwritten.
 
     The history is split as in Hairer, Lubich & Schlichte (1985, SIAM J. Sci.
     Stat. Comput. 6:532): nodes lo..hi-1 are solved by solving the left half,
     adding its whole contribution to the right half's far history with one FFT
     Toeplitz product (_conv_tail), then solving the right half; blocks of at
-    most _LEAF nodes march directly with the local sum.  The cost is
+    most _LEAF nodes (leaves) are solved with the local sum.  The cost is
     O(N M log^2 M) instead of O(N M^2), and the result is the direct sum's up
-    to rounding.  Diagonal systems are solved elementwise, with the
-    denominators sigma + diag(A_m) of a whole leaf formed and checked for a
-    zero before its first step, and every column is transformed alone, so
+    to rounding.  Every column of a diagonal system is transformed alone, so
     decoupled modes stay exactly decoupled (mode-for-mode identical across
-    different N).  Other systems take one dense solve per step against
-    sigma I + A_m, sigma I formed once per march, with no copy of A.
-    SingularStepError names the first node whose step matrix is singular.
+    different N).  SingularStepError names the first node whose step matrix
+    is singular.
+
+    A leaf takes one step per node: elementwise for a diagonal system, with
+    the denominators sigma + diag(A_m) of a whole leaf formed and checked for
+    a zero before its first step, and otherwise one np.linalg.solve against
+    sigma I + A_m, sigma I formed once per march, with no copy of A.  A step
+    reads h_m = sigma c_m - hist_m off the step equation, with no product by
+    A.
+
+    A time-constant diagonal A (every node equal to node 0, _is_time_constant;
+    d = diag(A_0)) solves a leaf without a Python step per node where that
+    is accurate.  Column i of a leaf solves the lower-triangular Toeplitz
+    system (sigma + d_i) x_m - e_i sum_{r>=1} kernel[r] x_{m-r} = b_m, with
+    e_i = 1 and b = f + far, or in Volterra mode e_i = -d_i, b also carrying
+    the leaf's own history of f, and h = f - d c.  Its resolvent rho, the
+    first column of the inverse (_LEAF entries a column), and its spectrum
+    are formed once per march; the leaf is then one FFT product of b with the
+    resolvents' spectra (_fft_rows, one kernel a column), O(N _LEAF log
+    _LEAF).  That product's rounding is spread over the leaf: every row's
+    error is about u log2(L) max|rho| max|b| (Higham 2002, Accuracy and
+    Stability of Numerical Algorithms, ch. 24), whatever the row's own size,
+    where a step's error is relative to the values up to its node and the
+    far history's to those before the leaf.  A mode that grows within a leaf
+    (sigma + d_i < sigma, where rho grows geometrically) or a forcing that
+    does would lose the relative accuracy of the leaf's first rows, so a
+    column takes the product only where max|rho| max|b| is at most
+    _LEAF_GROWTH times the scale max(|c| before the leaf, |rho_0 b_lo|); the
+    leaf's other columns take the steps.
     """
     M, N = ivp.grid.M, ivp.N
+    f = ivp.f
     diag_only = _is_diagonal(ivp.A)
     c = np.zeros((M + 1, N))
     h = np.zeros((M + 1, N)) if volterra else c
     shift = sigma * np.eye(N)
 
-    def march(lo: int, hi: int) -> None:
-        if diag_only:
-            diag = np.diagonal(ivp.A[lo:hi], axis1=1, axis2=2)
-            denom = sigma + diag
-            zero = denom == 0.0
-            if zero.any():
-                j, k = divmod(int(np.argmax(zero)), N)  # the first in node order
-                raise SingularStepError(
-                    f"singular implicit step at node {lo + j}: eigenvalue ~ -sigma = {-sigma}",
-                    node=lo + j,
-                    eigenvalue_estimate=float(diag[j, k]),
-                )
+    def steps(lo: int, hi: int, denom: np.ndarray | None = None) -> None:
+        if diag_only and denom is None:
+            denom = _check_diagonal_steps(sigma, np.diagonal(ivp.A[lo:hi], axis1=1, axis2=2), lo)
         for m in range(lo, hi):
             # nodes lo..m-1 here, the earlier ones in far
             hist = far[m] + kernel[1 : m - lo + 1] @ h[m - 1 : lo - 1 : -1]
-            rhs = ivp.f[m] + hist
+            rhs = f[m] + hist
             if diag_only:
                 c[m] = rhs / denom[m - lo]
             else:
@@ -299,9 +362,51 @@ def _implicit_march(
             if volterra:
                 h[m] = sigma * c[m] - hist
 
+    leaf = steps
+    if diag_only and _is_time_constant(ivp.A):
+        d = np.diagonal(ivp.A[0]).copy()
+        denom = _check_diagonal_steps(sigma, d[None], 1)
+        # the resolvent rho, column by column: denom rho_0 = 1 and
+        # denom rho_m = e sum_{r=1}^m kernel[r] rho_{m-r}; a mode near -sigma
+        # may overflow, and then always takes the steps
+        e = -d if volterra else 1.0
+        rho = np.empty((min(_LEAF, M), N))
+        rho[0] = 1.0 / denom[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, len(rho)):
+                rho[m] = e * (kernel[1 : m + 1] @ rho[m - 1 :: -1]) / denom[0]
+        tame = np.isfinite(rho).all(axis=0)
+        rho[:, ~tame] = 0.0
+        reach = np.abs(rho).max(axis=0)
+        # L >= n + len(rho) - 1 for every leaf of n <= len(rho) nodes, so no
+        # row of a leaf wraps, and one spectrum of each kernel serves all
+        L = 1 << (2 * len(rho) - 2).bit_length()
+        rho_spec = np.fft.rfft(rho, n=L, axis=0)
+        own = np.concatenate([[0.0], kernel[1 : len(rho)]])  # kernel[0] never enters
+        own_spec = np.fft.rfft(own, n=L)
+        seen = np.zeros(N)  # max |c| per column over the leaves solved
+
+        def leaf(lo: int, hi: int) -> None:
+            b = f[lo:hi] + far[lo:hi]
+            if volterra:
+                b += _fft_rows(own_spec, f[lo:hi], L, 0, hi - lo)
+            x = _fft_rows(rho_spec, b, L, 0, hi - lo)
+            scale = np.maximum(seen, np.abs(b[0] * rho[0]))
+            product = tame & (reach * np.abs(b).max(axis=0) <= _LEAF_GROWTH * scale)
+            if product.all():
+                c[lo:hi] = x
+                if volterra:
+                    h[lo:hi] = f[lo:hi] - d * x
+            else:
+                steps(lo, hi, np.broadcast_to(denom, (hi - lo, N)))
+                c[lo:hi, product] = x[:, product]
+                if volterra:
+                    h[lo:hi, product] = f[lo:hi, product] - d[product] * x[:, product]
+            np.maximum(seen, np.abs(c[lo:hi]).max(axis=0), out=seen)
+
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _LEAF:
-            march(lo, hi)
+            leaf(lo, hi)
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
@@ -314,8 +419,13 @@ def _implicit_march(
 
 def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
     """One application of the Volterra operator: I^alpha(f - A c)."""
+    return _volterra_apply(ivp, c, _pl_weights(ivp.alpha, ivp.grid.M))
+
+
+def _volterra_apply(ivp: FractionalIVP, c: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """picard_apply with the caller's _pl_weights(alpha, M)."""
     g = ivp.f - np.einsum("mij,mj->mi", ivp.A, c)
-    return _fractional_integral_values(g, ivp.alpha, ivp.grid.dt)
+    return _fractional_integral_values(g, ivp.alpha, ivp.grid.dt, weights)
 
 
 def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
@@ -342,7 +452,7 @@ def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
     sigma = math.gamma(alpha + 2.0) / ivp.grid.dt**alpha
     # node 0 enters through a0 alone, with g_0 = f_0 since c_0 = 0
     c = _implicit_march(ivp, sigma, W, a0[:, None] * ivp.f[0], volterra=True)
-    residual = _max_norm(c - picard_apply(ivp, c))
+    residual = _max_norm(c - _volterra_apply(ivp, c, (a0, W)))
     if not residual <= _PICARD_TOL * max(1.0, _max_norm(c)):  # a NaN fails too
         raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
     return GridSeries(ivp.grid, c), PicardLog(1, residual)

@@ -542,15 +542,17 @@ def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
     certified = np.empty(zn.shape, dtype=bool)
     for sl in _blocks(len(zn), 6 * len(_TALBOT_W)):
         val[sl], certified[sl] = _contour(a, b, zn[sl])
-    rest = np.flatnonzero(~certified)
+    # the rejects are boolean masks over zn, one byte a point
     if a < 1.0:  # at alpha = 1 every algebraic term sits on a Gamma pole: no tail
-        tail = rest[np.log(-zn[rest]) > a * math.log(_TAIL_CUT)]
-        if len(tail):
+        tail = ~certified
+        tail[tail] = np.log(-zn[tail]) > a * math.log(_TAIL_CUT)
+        if tail.any():
             tv, converged = _algebraic_tail(a, b, zn[tail])
-            val[tail[converged]] = tv[converged]
-            certified[tail[converged]] = True
-            rest = np.flatnonzero(~certified)
-    if len(rest):
+            tail[tail] = converged
+            val[tail] = tv[converged]
+            certified |= tail
+    rest = ~certified
+    if rest.any():
         val[rest] = _series_mp(a, b, zn[rest])
     out[neg] = val
     return out.reshape(zf.shape)
@@ -570,21 +572,22 @@ def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
 _DIRECT_ROWS = 2048
 
 
-def _fft_rows(kernel: np.ndarray, x: np.ndarray, L: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the length-L circular convolution of kernel with every
-    column of x (k, C), both zero-padded to L, by one rfft/irfft product.
+def _fft_rows(kspec: np.ndarray, x: np.ndarray, L: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the length-L circular convolution of a kernel with
+    every column of x (k, C), both zero-padded to L, by one rfft/irfft product.
 
-    The kernel spectrum is formed once; the columns pass through the
-    transforms in blocks whose temporaries fit _BLOCK_BYTES, sized before
-    allocating.  The rows kept are exact up to rounding where the wrap of the
-    linear convolution (its rows L and up) misses them.
+    kspec is the kernel's spectrum np.fft.rfft(kernel, n=L): one 1-d
+    spectrum for every column, or (L//2 + 1, C), one kernel per column.  The
+    columns pass through the transforms in blocks whose temporaries fit
+    _BLOCK_BYTES, sized before allocating.  The rows kept are exact up to
+    rounding where the wrap of the linear convolution (its rows L and up)
+    misses them.
     """
-    kspec = np.fft.rfft(kernel, n=L)[:, None]
     out = np.empty((hi - lo, x.shape[1]))
     # a column's temporaries: its padded copy, spectrum and inverse, < 3L doubles
     for sl in _blocks(x.shape[1], 3 * L):
         spec = np.fft.rfft(x[:, sl], n=L, axis=0)
-        spec *= kspec
+        spec *= kspec[:, sl] if kspec.ndim == 2 else kspec[:, None]
         out[:, sl] = np.fft.irfft(spec, n=L, axis=0)[lo:hi]
     return out
 
@@ -602,7 +605,7 @@ def _causal_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     flat = x.reshape(n, -1)
     if n > _DIRECT_ROWS:
         L = 1 << (2 * n - 2).bit_length()
-        return _fft_rows(kernel[:n], flat, L, 0, n).reshape(x.shape)
+        return _fft_rows(np.fft.rfft(kernel[:n], n=L), flat, L, 0, n).reshape(x.shape)
     out = np.empty(flat.shape)
     for c in range(flat.shape[1]):
         out[:, c] = np.convolve(kernel, flat[:, c])[:n]
@@ -619,7 +622,7 @@ def _conv_tail(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     kernel needs L entries; kernel[0] never enters.
     """
     k = x.shape[0]
-    return _fft_rows(kernel[: k + n], x, k + n, k, k + n)
+    return _fft_rows(np.fft.rfft(kernel[: k + n], n=k + n), x, k + n, k, k + n)
 
 
 # _pl_weights sums its series from r = 2 on, where the terms fall by >= 2 each
@@ -659,10 +662,13 @@ def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     return a0, W
 
 
-def _fractional_integral_values(vals: np.ndarray, order: float, dt: float) -> np.ndarray:
-    """(I^order x)(t_m) for piecewise-linear x given by nodal values."""
+def _fractional_integral_values(
+    vals: np.ndarray, order: float, dt: float, weights: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """(I^order x)(t_m) for piecewise-linear x given by nodal values; weights
+    are _pl_weights(order, M), formed here unless the caller holds them."""
     M = vals.shape[0] - 1
-    a0, W = _pl_weights(order, M)
+    a0, W = _pl_weights(order, M) if weights is None else weights
     scale = dt**order / gamma(order + 2.0)
     flat = vals.reshape(M + 1, -1)
     y = _causal_conv(W, flat[1:])
@@ -836,7 +842,12 @@ def integration_by_parts_residual(f: GridSeries, g: GridSeries, alpha: float) ->
     """
     if f.grid is not g.grid and (f.grid.T != g.grid.T or f.grid.M != g.grid.M):
         raise ValueError("f and g must share one grid")
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     t = f.grid.nodes
-    lhs = np.trapezoid(rl_integral(f, alpha).values * g.values, t)
-    rhs = np.trapezoid(f.values * rl_integral_left(g, alpha).values, t)
+    # I^a f and the reversed I^a g (rl_integral_left) as two columns of one
+    # product integration, which forms the weights once
+    both = _fractional_integral_values(np.stack([f.values, g.values[::-1]], axis=-1), alpha, f.grid.dt)
+    lhs = np.trapezoid(both[..., 0] * g.values, t)
+    rhs = np.trapezoid(f.values * both[::-1, ..., 1], t)
     return float(abs(lhs - rhs))

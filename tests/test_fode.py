@@ -1,6 +1,7 @@
 """Fractional ODE solvers against the closed-form scalar oracle."""
 
 import math
+import re
 import time
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 from oracles import l1_march, ml_reference, pi_march
 
 from fracspec import fode
-from fracspec.fraccalc import _BLOCK_BYTES, GridSeries, TimeGrid, ml, ml_array, rl_integral
+from fracspec.fraccalc import _BLOCK_BYTES, GridSeries, TimeGrid, _max_norm, ml, ml_array, rl_integral
 from fracspec.fode import (
     _LEAF,
     _STRIDE,
@@ -19,6 +20,7 @@ from fracspec.fode import (
     PicardDivergenceError,
     SingularStepError,
     _is_diagonal,
+    _is_time_constant,
     l1_solve,
     max_operator_norm,
     picard_apply,
@@ -288,6 +290,226 @@ class TestDiagonalTest:
         assert sum(read) <= max(1, 2 * where)
 
 
+class TestTimeConstantTest:
+    # the march's test whether every node of A equals node 0
+
+    @staticmethod
+    def constant_nodes(M=9, N=3):
+        return np.tile(np.arange(1.0, N * N + 1.0).reshape(N, N), (M + 1, 1, 1))
+
+    @pytest.mark.parametrize("where", [None, 1, 4, 9])
+    def test_differs_at_any_node(self, where):
+        A = self.constant_nodes()
+        if where is not None:  # one ulp apart
+            A[where, 2, 0] = np.nextafter(A[where, 2, 0], np.inf)
+        assert _is_time_constant(A) is (where is None)
+
+    def test_node_zero_is_the_reference(self):
+        A = self.constant_nodes()
+        A[0, 1, 1] = 0.0
+        assert not _is_time_constant(A)
+
+    def test_broadcast_reads_one_node(self, monkeypatch):
+        band = np.diag([1.0, 2.0]) + np.diag([3.0], 1)
+        read = []
+        not_equal = np.not_equal
+        monkeypatch.setattr(np, "not_equal", lambda a, b: read.append(len(a)) or not_equal(a, b))
+        assert _is_time_constant(np.broadcast_to(band, (10**6, 2, 2)))
+        assert read == []
+
+    @pytest.mark.parametrize("where", [1, 5, 600])
+    def test_stops_near_the_first_varying_node(self, monkeypatch, where):
+        # a node that differs from node 0 decides after reading at most twice
+        # that many nodes, not all 1001; a time-varying A (the assembled
+        # systems) exits at node 1
+        A = self.constant_nodes(M=1000)
+        A[where, 0, 1] = -1.0
+        read = []
+        not_equal = np.not_equal
+
+        def spy(a, b):
+            read.append(len(a))
+            return not_equal(a, b)
+
+        monkeypatch.setattr(np, "not_equal", spy)
+        assert not _is_time_constant(A)
+        assert sum(read) <= 2 * where
+
+    def test_blocks_fit_the_budget(self, monkeypatch):
+        # the comparison's boolean temporary, one byte an entry, stays within
+        # _BLOCK_BYTES however large a node is: with a 64 KiB budget a block
+        # holds at most 16 nodes of 4096 entries, where doubling alone would
+        # reach 32
+        M, N, budget = 64, 64, 1 << 16
+        monkeypatch.setattr(fode, "_BLOCK_BYTES", budget)
+        A = np.broadcast_to(np.eye(N), (M + 1, N, N)).copy()
+        read = []
+        not_equal = np.not_equal
+        monkeypatch.setattr(np, "not_equal", lambda a, b: read.append(len(a)) or not_equal(a, b))
+        assert _is_time_constant(A)
+        assert sum(read) == M and max(read) * N * N == budget
+
+
+# An uneven node count: the leaves of the history splitting hold 36 or 37
+# nodes, and their far histories pass through several FFT levels
+M_UNEVEN = 4 * _LEAF + 37
+
+
+def constant_system(kind, M=M_UNEVEN, N=5, diag=None, forcing=None):
+    """A time-constant A as a broadcast view ("broadcast", "dense") or a full
+    copy of one node ("full"), diagonal unless dense, on M nodes, T = 2,
+    alpha = 0.35.  The diagonal is diag, or drawn from [0.5, 40]; the forcing
+    is forcing(t) (one column a mode), or as in dense_system."""
+    g = TimeGrid(2.0, M)
+    rng = np.random.default_rng(12)
+    A0 = np.diag(rng.uniform(0.5, 40.0, N) if diag is None else diag)
+    N = len(A0)
+    if kind == "dense":
+        A0 += rng.standard_normal((N, N))
+    A = np.tile(A0, (M + 1, 1, 1)) if kind == "full" else np.broadcast_to(A0, (M + 1, N, N))
+    if forcing is None:
+        f = np.cos(np.outer(g.nodes, rng.uniform(0.5, 4.0, N))) + rng.standard_normal(N)
+    else:
+        f = forcing(g.nodes)
+    return FractionalIVP(0.35, g, A, f)
+
+
+def mode_rel_err(got, ref):
+    """max over modes of node_rel_err on that mode alone: a small mode's
+    error is not hidden under a large one's."""
+    return max(node_rel_err(got[:, i : i + 1], ref[:, i : i + 1]) for i in range(ref.shape[1]))
+
+
+class TestTimeConstantStep:
+    # a time-constant diagonal A solves a leaf as one FFT product with the
+    # step's resolvent where that keeps each mode's relative accuracy, and
+    # with elementwise steps where a mode or its forcing grows within the
+    # leaf; a dense one takes the per-step solves
+    SOLVERS = {
+        "l1": (l1_solve, l1_march, l1_sigma),
+        "picard": (lambda ivp: picard_solve(ivp)[0], pi_march, pi_sigma),
+    }
+
+    @pytest.mark.parametrize("kind", ["full", "broadcast", "dense"])
+    @pytest.mark.parametrize("solver", SOLVERS.keys())
+    def test_matches_plain_march(self, monkeypatch, kind, solver):
+        solve, march, _ = self.SOLVERS[solver]
+        ivp = constant_system(kind)
+        ref = march(ivp.alpha, ivp.grid.T, np.asarray(ivp.A), np.asarray(ivp.f))
+        if kind != "dense":
+
+            def no_solve(*args):
+                raise AssertionError("a diagonal step took np.linalg.solve")
+
+            monkeypatch.setattr(np.linalg, "solve", no_solve)
+        assert node_rel_err(solve(ivp).values, ref) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["full", "broadcast"])
+    @pytest.mark.parametrize("grows", ["modes", "forcing"])
+    @pytest.mark.parametrize("solver", SOLVERS.keys())
+    def test_growing_columns_match_plain_march(self, solver, grows, kind):
+        # an FFT product's rounding is normwise over a leaf: alone it gave
+        # the first rows of a mode whose resolvent grows (sigma + d < sigma:
+        # d = -5 grows by ~1e19 over a leaf, d near -sigma faster) errors up
+        # to 3e6 relative, and those of a mode forced by exp(k t) (up to e^35
+        # over a leaf) up to 0.7.  Such columns take the steps, and the
+        # others keep their own accuracy.  The forcing is positive, so no
+        # mode passes near zero, where its relative error would show the
+        # rounding of larger history terms
+        solve, march, sigma = self.SOLVERS[solver]
+        if grows == "modes":
+            s = sigma(TimeGrid(2.0, M_UNEVEN), 0.35)
+            diag = [-5.0, -0.5 * s, -0.75 * s, -1.0, 0.0, 3.0, 40.0]
+            rates = np.linspace(0.5, 4.0, len(diag))
+            ivp = constant_system(kind, diag=diag, forcing=lambda t: 1.5 + np.cos(np.outer(t, rates)))
+        else:
+            rates = np.array([1.0, 40.0, 80.0, 150.0])
+            ivp = constant_system(kind, diag=[0.0, 5.0, 40.0, 2.0], forcing=lambda t: np.exp(np.outer(t, rates)))
+        ref = march(ivp.alpha, ivp.grid.T, np.asarray(ivp.A), np.asarray(ivp.f))
+        assert mode_rel_err(solve(ivp).values, ref) <= 1e-12
+
+    @pytest.mark.parametrize("solver", SOLVERS.keys())
+    def test_modes_stay_decoupled(self, solver):
+        # a column's path (product or steps) and its arithmetic depend on that
+        # column alone: the growing modes take the steps, the others the
+        # product, and every mode is bit for bit its own N = 1 solve
+        solve = self.SOLVERS[solver][0]
+        diag = [-5.0, 2.0, -1.0, 30.0]
+        rates = np.linspace(0.5, 4.0, len(diag))
+        solves = [
+            solve(constant_system("broadcast", diag=diag[i:j], forcing=lambda t: 1.5 + np.cos(np.outer(t, rates[i:j]))))
+            for i, j in [(0, 4)] + [(i, i + 1) for i in range(4)]
+        ]
+        for i in range(4):
+            assert np.array_equal(solves[0].values[:, i], solves[i + 1].values[:, 0])
+
+    def test_diagonal_leaves_take_one_product(self, monkeypatch):
+        # each leaf of a diagonal constant system is one FFT product against
+        # the resolvents, one kernel a column (and in Volterra mode one more
+        # for the leaf's own history of f)
+        kernels = []
+        fft_rows = fode._fft_rows
+        monkeypatch.setattr(
+            fode, "_fft_rows", lambda k, *args: kernels.append(k.ndim) or fft_rows(k, *args)
+        )
+        ivp = constant_system("broadcast")
+        l1_solve(ivp)
+        assert kernels == [2] * 8  # M_UNEVEN nodes in 8 leaves
+        kernels.clear()
+        picard_solve(ivp)
+        assert kernels == [1, 2] * 8
+
+    @pytest.mark.parametrize("solver", SOLVERS.keys())
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_singular_diagonal_step_named(self, solver, broadcast):
+        # the first node's step is singular in modes 1 and 3: the error names
+        # node 1 and the first singular mode's eigenvalue, in the format of
+        # the time-varying path
+        solve, _, sigma = self.SOLVERS[solver]
+        M = M_UNEVEN
+        g = TimeGrid(1.0, M)
+        s = sigma(g, 0.5)
+        A0 = np.diag([1.0, -s, 3.0, -s])
+        A = np.broadcast_to(A0, (M + 1, 4, 4)) if broadcast else np.tile(A0, (M + 1, 1, 1))
+        ivp = FractionalIVP(0.5, g, A, np.ones((M + 1, 4)))
+        message = f"singular implicit step at node 1: eigenvalue ~ -sigma = {-s}"
+        with pytest.raises(SingularStepError, match=f"^{re.escape(message)}$") as exc:
+            solve(ivp)
+        assert exc.value.node == 1
+        assert exc.value.eigenvalue_estimate == A0[1, 1] == -s
+
+    @pytest.mark.parametrize("solver", SOLVERS.keys())
+    def test_singular_dense_step_named(self, solver):
+        solve, _, sigma = self.SOLVERS[solver]
+        M, N = M_UNEVEN, 4
+        g = TimeGrid(1.0, M)
+        s = sigma(g, 0.5)
+        A0 = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.random.default_rng(5).standard_normal((N, N))
+        A0[1, :] = 0.0  # row 1 of sigma I + A_0 vanishes exactly
+        A0[1, 1] = -s
+        ivp = FractionalIVP(0.5, g, np.broadcast_to(A0, (M + 1, N, N)), np.ones((M + 1, N)))
+        with pytest.raises(SingularStepError, match="^singular implicit step at node 1: A eigenvalue ") as exc:
+            solve(ivp)
+        assert exc.value.node == 1
+        assert exc.value.eigenvalue_estimate == pytest.approx(-s, rel=1e-9)
+
+    @pytest.mark.parametrize("solver", SOLVERS.keys())
+    def test_broadcast_dense_memory_linear_in_m(self, solver):
+        # a broadcast dense A is read at its one node: no O(M N^2) temporary
+        # (67 MiB here) may appear, only O(M N) doubles
+        solve = self.SOLVERS[solver][0]
+        M, N = 8192, 32
+        band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1) - np.diag(np.ones(N - 1), -1)
+        ivp = FractionalIVP(0.5, TimeGrid(1.0, M), np.broadcast_to(band, (M + 1, N, N)), np.ones((M + 1, N)))
+        tracemalloc.start()
+        try:
+            solve(ivp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (M + 1) * N * 8
+
+
 class TestFractionalIVP:
     @pytest.mark.parametrize(
         "a_shape, f_shape", [((5, 3), (5, 3)), ((5, 3, 3, 1), (5, 3)), ((5, 3, 3), (5, 3, 1))]
@@ -422,6 +644,17 @@ class TestPicard:
             assert node_rel_err(got.values, ref) <= 1e-12
             assert log.residual <= 1e-13 * np.abs(got.values).max()
 
+    def test_residual_shares_the_march_weights(self, monkeypatch):
+        # the march and the residual check take one set of product-integration
+        # weights; the residual is picard_apply's bit for bit
+        ivp = dense_system(M=300)
+        pl_weights = fode._pl_weights
+        calls = []
+        monkeypatch.setattr(fode, "_pl_weights", lambda *a: calls.append(a) or pl_weights(*a))
+        got, log = picard_solve(ivp)
+        assert calls == [(ivp.alpha, ivp.grid.M)]
+        assert log.residual == _max_norm(got.values - picard_apply(ivp, got.values))
+
     def test_divergence_reported(self, monkeypatch):
         # the fixed-point residual check is the verification: a tolerance
         # below rounding fails it
@@ -469,9 +702,17 @@ class TestSolverOutput:
 
     def test_empty_system(self):
         # regression: with N = 0 the Picard residual's max norm reduced an
-        # empty array and raised, where l1_solve returned
+        # empty array and raised, where l1_solve returned.  An empty A is
+        # time-constant and diagonal, so it takes the leaf resolvent
+        self.check_empty(np.zeros((9, 0, 0)))
+
+    def test_empty_broadcast_system(self):
+        self.check_empty(np.broadcast_to(np.zeros((0, 0)), (9, 0, 0)))
+
+    @staticmethod
+    def check_empty(A):
         g = TimeGrid(1.0, 8)
-        ivp = FractionalIVP(0.5, g, np.zeros((9, 0, 0)), np.zeros((9, 0)))
+        ivp = FractionalIVP(0.5, g, A, np.zeros((9, 0)))
         c, log = picard_solve(ivp)
         assert c.values.shape == l1_solve(ivp).values.shape == (9, 0)
         assert log.residual == 0.0

@@ -17,7 +17,16 @@ from fracspec import (
     rl_integral,
     rl_integral_left,
 )
-from fracspec.fraccalc import _BLOCK_BYTES, _DIRECT_ROWS, _causal_conv, _conv_tail, _max_norm, _pl_weights, ml_array
+from fracspec.fraccalc import (
+    _BLOCK_BYTES,
+    _DIRECT_ROWS,
+    _causal_conv,
+    _conv_tail,
+    _fft_rows,
+    _max_norm,
+    _pl_weights,
+    ml_array,
+)
 
 
 def series(T, M, fn):
@@ -266,6 +275,24 @@ class TestCausalConv:
         assert got.shape == (n, 3)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("n", [1, 37, 64])
+    def test_fft_rows_one_kernel_per_column(self, n):
+        # the leaf resolvents of a diagonal march: column c is convolved with
+        # kernel[:, c], the same values as its own one-column product bit for
+        # bit, and the direct convolution's up to rounding
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((n, 5))
+        kernel = rng.standard_normal((n, 5))
+        L = 1 << (2 * n - 2).bit_length()
+        kspec = np.fft.rfft(kernel, n=L, axis=0)
+        got = _fft_rows(kspec, x, L, 0, n)
+        for c in range(5):
+            want = np.convolve(kernel[:, c], x[:, c])[:n]
+            scale = np.convolve(np.abs(kernel[:, c]), np.abs(x[:, c]))[:n].max()
+            assert np.max(np.abs(got[:, c] - want)) <= 1e-14 * scale
+            one = np.fft.rfft(kernel[:, c], n=L)
+            assert np.array_equal(got[:, c], _fft_rows(one, x[:, c : c + 1], L, 0, n)[:, 0])
+
     @pytest.mark.parametrize("order", [0.05, 0.35, 0.9, 1.0])
     def test_pl_weights_accurate(self, order):
         # regression: the closed-form second differences cancel down from
@@ -388,6 +415,29 @@ class TestIntegrationByParts:
                 assert r <= 0.6 * prev
             prev = r
         assert r < 1e-4
+
+    @pytest.mark.parametrize("M", [256, 4096])
+    def test_one_product_integration(self, monkeypatch, M):
+        # both sides run as two columns of one product integration, with one
+        # set of weights, bit for bit the two-call form (M = 4096 convolves
+        # by FFT)
+        from fracspec import fraccalc
+
+        g = TimeGrid(1.0, M)
+        f = GridSeries(g, np.exp(g.nodes))
+        h = GridSeries(g, np.cos(3.0 * g.nodes))
+        lhs = np.trapezoid(rl_integral(f, 0.5).values * h.values, g.nodes)
+        rhs = np.trapezoid(f.values * rl_integral_left(h, 0.5).values, g.nodes)
+        pl_weights = fraccalc._pl_weights
+        calls = []
+        monkeypatch.setattr(fraccalc, "_pl_weights", lambda *a: calls.append(a) or pl_weights(*a))
+        assert integration_by_parts_residual(f, h, 0.5) == float(abs(lhs - rhs))
+        assert calls == [(0.5, M)]
+
+    def test_rejects_bad_alpha(self):
+        f = series(1.0, 64, lambda t: t)
+        with pytest.raises(ValueError, match="alpha"):
+            integration_by_parts_residual(f, f, 1.5)
 
     def test_grid_mismatch(self):
         f = series(1.0, 64, lambda t: t)
