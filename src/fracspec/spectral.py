@@ -14,13 +14,17 @@ per-axis sine tables of a basis on its quadrature grid.  _plan holds, per
 (basis, coefficient expressions), each coefficient split into terms
 g(t) h(x, y) with every t-free factor h sampled and contracted once (sum
 factorisation on the sine basis), the diffusion samples stacked per name,
-the validated coefficient names and the constant-diagonal case.
-Coefficients are keyed by value, so a dict changed between calls is never
-served a stale plan, and a changed forcing reuses the plan.  At each node
-assemble evaluates the forcing and the g(t) in one call of their compiled
-tuple (exprfield._compiled, which computes a subtree they share once), sums
-the contracted matrices, checks ellipticity on the quadrature grid, and
-samples and contracts whatever does not split.
+the range of each diffusion factor h over the grid, the validated
+coefficient names and the constant-diagonal case.  Coefficients are keyed by
+value, so a dict changed between calls is never served a stale plan, and a
+changed forcing reuses the plan.  At each node assemble evaluates the
+forcing and the g(t) in one call of their compiled tuple
+(exprfield._compiled, which computes a subtree they share once), sums the
+contracted matrices, and samples and contracts whatever does not split.
+Ellipticity on the quadrature grid is checked first by a lower bound built
+from the g(t) and the plan's ranges; only a node whose bound does not clear
+zero by a rounding allowance (or a diffusion coefficient that does not
+split) has its fields sampled on the grid, with the same outcome.
 
 A coefficient is an exprfield expression in t, x (and y in 2d); a variable
 the box lacks raises where it is read.  The paper's constants (theta,
@@ -30,13 +34,14 @@ beta/nu, C2) sample the coefficients over [0, T] x box, T and box as given.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .exprfield import BinOp, ExprDomainError, Neg, Num, _compiled, evaluate, variables_of
-from .fraccalc import _max_norm
+from .fraccalc import _EPS, _max_norm
 
 __all__ = [
     "DomainGeometry",
@@ -350,6 +355,11 @@ def _split(e) -> tuple[list, list]:
     return [], [e]
 
 
+# absolute part of the ellipticity bound's allowance: sqrt of the smallest
+# normal double, 2^-511 (see _Plan._clears_zero)
+_UNDERFLOW = math.sqrt(sys.float_info.min)
+
+
 class _Plan:
     """The part of assemble that does not depend on t, for one (basis, coeffs).
 
@@ -361,6 +371,16 @@ class _Plan:
     field for the ellipticity check is one product g[js] @ H per node (plus
     its rest).  Constant isotropic diffusion with constant reaction and no
     drift is instead the exact diagonal, with no t-factors.
+
+    For the ellipticity check each diffusion term also keeps (j, min h,
+    max h, max |h|) over the same samples (ranges).  At a node,
+    sum_j min(g_j min h_j, g_j max h_j) bounds a name's field from below and
+    sum_j |g_j| max |h_j| bounds its magnitude, so Gershgorin's
+    min(a11, a22) - |a12| (a11 in 1-D) bounds the min eigenvalue at every
+    grid point from J numbers (_clears_zero).  A node whose bound clears
+    zero by the rounding allowance skips the grid; the others, and every
+    node when a diffusion name has rest terms, run the grid check
+    (_check_grid).  Rest terms of b and c do not matter to the bound.
     """
 
     def __init__(self, basis: SpectralBasis, coeffs: dict):
@@ -416,15 +436,74 @@ class _Plan:
                 np.array([H for _, H in terms]).reshape(len(terms), size))
             for k, terms in samples.items()
         }
+        # per diffusion name: (j, min h, max h, max |h|) of each term, or
+        # None when a diffusion name has rest terms, which no range bounds
+        self.ranges = None
+        if not any(k in self.rest for k in self.diffusion):
+            self.ranges = {
+                k: [(j, float(H.min()), float(H.max()), float(np.abs(H).max())) for j, H in terms]
+                for k, terms in samples.items()
+            }
+            self.widen = 4.0 * (max(map(len, samples.values())) + 2) * _EPS
 
-    def form(self, t: float, g: tuple) -> np.ndarray:
-        """A(t) from the values g of the t-factors at t, after the
-        ellipticity check on the quadrature grid."""
-        if self.diagonal is not None:
-            return self.diagonal.copy()
+    def _clears_zero(self, g: list) -> bool:
+        """Whether the per-term bound shows that the grid check passes at
+        the node with t-factor values g.
+
+        Per diffusion name k, lo_k = sum_j min(g_j min h_j, g_j max h_j)
+        bounds the field from below and S_k = sum_j |g_j| max |h_j| bounds
+        its magnitude, at every grid point.  Gershgorin's disc gives
+        lambda_min >= min(a11, a22) - |a12| for the symmetric 2x2 matrix, so
+        B = min(lo_11, lo_22) - S_12 (lo_11 in 1-D) bounds the min
+        eigenvalue from below.  The bound passes when
+        B > widen S + _UNDERFLOW, with S = sum_k S_k and
+        widen = 4 (J + 2) eps, J the most terms of one name: the grid
+        check's computed min eigenvalue then exceeds 0 at every point.  With
+        u = eps/2 and gamma_J = J u / (1 - J u) (Higham 2002, Accuracy and
+        Stability of Numerical Algorithms, ch. 3), the rounding it covers is
+
+        - the bound's own sums: each computed lo_k and S_12 lies within
+          gamma_J S_k of its exact value (J products, J - 1 additions, any
+          order), and the final min and subtraction add u S;
+        - the field product g[js] @ H, a J-term dot product in whatever order
+          the BLAS takes: each field lies within gamma_J S_k of its exact
+          value, so by Gershgorin the exact min eigenvalue of the computed
+          fields is >= B - (2 gamma_J + u) S;
+        - _min_eigenvalue's arithmetic: in 2-D the half trace (one
+          rounding), the radicand (four), its square root (halving the
+          radicand's relative error, plus one) and the difference (one) put
+          the computed half_tr - rad within 2 eps (|a11| + |a22| + |a12|)
+          <= 2 eps S (1 + gamma_J) of the exact eigenvalue; 1-D returns a11
+          as computed.
+
+        Together that is (J + 5/2) eps S to first order, which widen covers
+        with a factor above 3 to spare for the rounding of S itself and the
+        second-order terms, as max_operator_norm's 4 N^2 eps covers its SVD.
+        _UNDERFLOW (2^-511) covers values below the normal range, where
+        rounding is absolute, up to 2^-1075 a product or square: the square
+        root lifts such an error in the radicand to at most ~2^-536.  A
+        non-finite g_j or h sample makes S inf or NaN, so the bound fails
+        and the grid check decides as before.
+        """
+        if self.ranges is None:
+            return False
+        low, size = {}, {}
+        for k, terms in self.ranges.items():
+            lo = s = 0.0
+            for j, hmin, hmax, habs in terms:
+                gj = g[j]
+                lo += min(gj * hmin, gj * hmax)
+                s += abs(gj) * habs
+            low[k], size[k] = lo, s
+        bound = low["a11"] if "a22" not in low else min(low["a11"], low["a22"]) - size.get("a12", 0.0)
+        return bound > self.widen * sum(size.values()) + _UNDERFLOW
+
+    def _check_grid(self, t: float, g: np.ndarray, rest: dict) -> None:
+        """Ellipticity on the quadrature grid: the diffusion fields sampled
+        (one product g[js] @ H per name, plus its sampled rest) and their
+        pointwise min eigenvalue, EllipticityError naming t and x where it is
+        not positive."""
         tab = self.tab
-        g = np.array(g, dtype=float)
-        rest = {k: _sample(e, tab.shape, t=t, **tab.env) for k, e in self.rest.items()}
         fields = {}
         for k, (js, H) in self.samples.items():
             field = (g[js] @ H).reshape(tab.shape)
@@ -437,6 +516,18 @@ class _Plan:
             raise EllipticityError(
                 f"coefficient matrix loses positivity at t={t}, x={loc}: min eigenvalue {theta_min}"
             )
+
+    def form(self, t: float, g: tuple) -> np.ndarray:
+        """A(t) from the values g of the t-factors at t, after the
+        ellipticity check: the per-term bound, or where it does not clear
+        zero the check on the quadrature grid."""
+        if self.diagonal is not None:
+            return self.diagonal.copy()
+        tab = self.tab
+        g = np.array(g, dtype=float)
+        rest = {k: _sample(e, tab.shape, t=t, **tab.env) for k, e in self.rest.items()}
+        if not self._clears_zero(g.tolist()):
+            self._check_grid(t, g, rest)
         A = (g @ self.K).reshape(self.n, self.n)
         for k, R in rest.items():
             for row, col in _SLOTS[k]:
@@ -472,7 +563,12 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     computes a subtree they share (t^2, a sine of t) once; it then sums the
     contracted matrices, and samples and contracts only what does not split
     (sin(x*t), say).  The diffusion coefficients are checked for
-    ellipticity on the quadrature grid at every call.
+    ellipticity on the quadrature grid at every call: first by a Gershgorin
+    lower bound from the t-factors and each term's range over the grid,
+    which must clear zero by a rounding allowance; where it does not, or a
+    diffusion coefficient does not split, by sampling the fields on the grid
+    (_Plan._clears_zero).  Either way a node passes or raises
+    EllipticityError as the grid check alone would, and A is the same.
     """
     n = basis.N
     modes = [j for j in forcing if 1 <= j <= n]

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fracspec.exprfield import ExprDomainError, Var, evaluate, parse
+from fracspec.exprfield import ExprDomainError, Var, _compiled, evaluate, parse
 from fracspec.spectral import (
     DomainGeometry,
     EllipticityError,
@@ -472,6 +474,162 @@ class TestCompiledAssembly:
                 A, f = unstacked_reference(basis, coeffs, forcing, t)
                 assert F.matrix.tobytes() == A.tobytes() and F.load.tobytes() == f.tobytes()
         assert built[0] == 1
+
+
+@pytest.fixture
+def grid_checks(monkeypatch):
+    """Counts the nodes whose ellipticity is checked on the quadrature grid."""
+    count = [0]
+    check = _Plan._check_grid
+
+    def counted(self, *args):
+        count[0] += 1
+        return check(self, *args)
+
+    monkeypatch.setattr(_Plan, "_check_grid", counted)
+    return count
+
+
+def form_outcome(plan, t, g, bound=True):
+    """plan.form's A as bytes, or its EllipticityError text; bound=False
+    takes the grid check at every node, as before the per-term bound."""
+    if not bound:
+        plan._clears_zero = lambda g: False  # shadows the method on this plan
+    try:
+        return plan.form(t, g).tobytes()
+    except EllipticityError as exc:
+        return str(exc)
+    finally:
+        plan.__dict__.pop("_clears_zero", None)
+
+
+def grid_min_eigenvalue(plan, g):
+    """The grid check's computed min eigenvalue over the grid (no rest terms)."""
+    g = np.array(g, dtype=float)
+    return float(spectral._min_eigenvalue({k: g[js] @ H for k, (js, H) in plan.samples.items()}).min())
+
+
+TIME_FACTORS = ["1", "t", "sin(2.3*t + 0.4)", "cos(3.1*t)", "t^2", "exp(-t)"]
+SPACE_FACTORS = {
+    1: ["1", "cos(pi*x)", "sin(pi*x)", "x", "x*x - 0.5"],
+    2: ["1", "cos(pi*x)", "sin(pi*y/0.7)", "x - y", "cos(pi*x)*cos(pi*y/0.7)", "sin(pi*x)*sin(pi*y/0.7)"],
+}
+
+
+@st.composite
+def split_coefficient(draw, dim, scale, shift=True):
+    """A shift in [0, 3] (if shift) plus 1-3 terms amp * g(t) * h(x, y),
+    amp of either sign."""
+    terms = [f"{draw(st.floats(0.0, 3.0))!r}"] if shift else []
+    for _ in range(draw(st.integers(1, 3))):
+        amp = draw(st.floats(-scale, scale))
+        terms.append(f"({amp!r})*{draw(st.sampled_from(TIME_FACTORS))}*({draw(st.sampled_from(SPACE_FACTORS[dim]))})")
+    return " + ".join(terms)
+
+
+@st.composite
+def split_coefficients(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    srcs = {"a11": draw(split_coefficient(dim, 2.0)), "c": "0.5 + t*x"}
+    if dim == 2:
+        srcs["a22"] = draw(split_coefficient(dim, 2.0))
+        if draw(st.booleans()):
+            srcs["a12"] = draw(split_coefficient(dim, 0.5, shift=False))
+    return (1.0,) if dim == 1 else (1.0, 0.7), srcs
+
+
+class TestEllipticityBound:
+    # a node's ellipticity is first bounded from the plan's per-term ranges;
+    # the grid check runs only where that bound does not clear zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=split_coefficients(), t=st.floats(0.0, 2.0))
+    def test_bound_implies_grid_check(self, case, t):
+        lengths, srcs = case
+        basis = build_basis(DomainGeometry(lengths), 4)
+        plan = _plan(basis, tuple((k, parse(v)) for k, v in srcs.items()))
+        assume(plan.diagonal is None)
+        g = _compiled(plan.factors)(t, None, None)
+        if plan._clears_zero([float(v) for v in g]):
+            assert grid_min_eigenvalue(plan, g) > 0.0
+        assert form_outcome(plan, t, g) == form_outcome(plan, t, g, bound=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=st.sampled_from([(dim, h) for dim, hs in SPACE_FACTORS.items() for h in hs[1:]]),
+        ulps=st.integers(-3, 3),
+    )
+    def test_grid_minimum_at_zero(self, space, ulps):
+        # a11 = t + h: at t = -min h the field's grid minimum is 0 exactly
+        # (t + min h is exact by Sterbenz's lemma), and `ulps` steps of t
+        # move it a few ulps either side; the bound cannot clear such a node
+        dim, h = space
+        srcs = {"a11": f"t + ({h})"} if dim == 1 else {"a11": f"t + ({h})", "a22": f"t + 1 + ({h})"}
+        lengths = (1.0,) if dim == 1 else (1.0, 0.7)
+        plan = _plan(build_basis(DomainGeometry(lengths), 4), tuple((k, parse(v)) for k, v in srcs.items()))
+        (_, hmin, _, _), = plan.ranges["a11"][1:]
+        t = -hmin
+        for _ in range(abs(ulps)):
+            t = np.nextafter(t, math.copysign(math.inf, ulps))
+        g = _compiled(plan.factors)(t, None, None)
+        assert not plan._clears_zero([float(v) for v in g])
+        got = form_outcome(plan, t, g)
+        assert got == form_outcome(plan, t, g, bound=False)
+        if dim == 1:
+            assert grid_min_eigenvalue(plan, g) == t + hmin
+            assert isinstance(got, str) == (ulps <= 0)
+
+    def test_cancelling_terms_take_the_grid_check(self, grid_checks):
+        # each term's range counts on its own: the bound reads
+        # 1 - 1.8 |sin t| < 0 where the field is 1
+        basis = build_basis(DomainGeometry((1.0,)), 6)
+        coeffs = {"a11": parse("1 + 0.9*cos(pi*x)*sin(t) - 0.9*cos(pi*x)*sin(t)"), "c": parse("x")}
+        for t in (0.0, 1.2, 2.0):
+            A = assemble(basis, coeffs, {}, t).matrix
+            assert A.tobytes() == unstacked_reference(basis, coeffs, {}, t)[0].tobytes()
+        assert grid_checks[0] == 2
+
+    @pytest.mark.parametrize("lengths", [(1.0,), (1.0, 0.7)])
+    def test_diffusion_rest_takes_the_grid_check(self, lengths, grid_checks):
+        basis = build_basis(DomainGeometry(lengths), 6)
+        coeffs = {"a11": parse("2 + 0.5*sin(x*t)"), "a22": parse("3"), "a12": parse("0.1*t")}
+        coeffs = {k: v for k, v in coeffs.items() if k in spectral._NAMES[len(lengths)]}
+        assert _plan(basis, tuple(coeffs.items())).ranges is None
+        for t in (0.0, 0.5, 1.0):
+            A = assemble(basis, coeffs, {}, t).matrix
+            assert A.tobytes() == unstacked_reference(basis, coeffs, {}, t)[0].tobytes()
+        assert grid_checks[0] == 3
+        with pytest.raises(EllipticityError, match=r"at t=12\.0"):
+            assemble(basis, {**coeffs, "a11": parse("sin(x*t + 1)")}, {}, 12.0)
+
+    def test_reaction_rest_keeps_the_bound(self, grid_checks):
+        basis, coeffs = split_case("partly-1d", 6)
+        coeffs["a11"] = parse("1.2 + t*cos(pi*x)/(1+t)")
+        for t in (0.0, 0.5, 1.0):
+            A = assemble(basis, coeffs, {}, t).matrix
+            assert A.tobytes() == unstacked_reference(basis, coeffs, {}, t)[0].tobytes()
+        assert grid_checks[0] == 0
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_benchmark_shaped_coefficients_skip_the_grid(self, seed, grid_checks):
+        # const + amp sin(omega t + phase) times a sin/cos product per axis,
+        # amplitudes and constants from the assembly2d workload's bands
+        rng = np.random.default_rng(seed)
+        L2 = 1.25
+        shapes = {"a11": "cos cos", "a12": "sin sin", "a22": "cos cos", "b1": "sin cos", "c": "cos cos"}
+        consts = {"a11": (1.15, 1.25), "a22": (1.15, 1.25), "c": (0.7, 0.8)}
+        amps = {"a11": (0.2, 0.3), "a12": (0.1, 0.2), "a22": (0.2, 0.3), "b1": (0.3, 0.6), "c": (0.3, 0.5)}
+        coeffs = {}
+        for k, shape in shapes.items():
+            fx, fy = shape.split()
+            term = (f"{rng.uniform(*amps[k])}*sin({rng.uniform(2.0, 4.0)}*t + {rng.uniform(0.0, 2 * math.pi)})"
+                    f"*{fx}(pi*x)*{fy}(pi*y/{L2})")
+            coeffs[k] = parse(f"{rng.uniform(*consts[k])} + {term}" if k in consts else term)
+        basis = build_basis(DomainGeometry((1.0, L2)), 24)
+        for t in np.linspace(0.0, 1.0, 33).tolist():
+            A = assemble(basis, coeffs, {}, t).matrix
+            assert A.tobytes() == unstacked_reference(basis, coeffs, {}, t)[0].tobytes()
+        assert grid_checks[0] == 0
 
 
 class TestCheckEllipticity:
