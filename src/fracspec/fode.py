@@ -423,20 +423,8 @@ def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
 
 
 def _volterra_apply(ivp: FractionalIVP, c: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """picard_apply with the caller's _pl_weights(alpha, M).
-
-    A broadcast in time multiplies c by its one node: a diagonal node as a
-    row scaling (equal to the node-by-node product, whose other terms add
-    exact zeros), a dense one as one matrix product.
-    """
-    A = ivp.A
-    if A.strides[0] != 0:
-        Ac = np.einsum("mij,mj->mi", A, c)
-    elif _is_diagonal(A):
-        Ac = c * np.diagonal(A[0])
-    else:
-        Ac = c @ A[0].T
-    g = ivp.f - Ac
+    """picard_apply with the caller's _pl_weights(alpha, M)."""
+    g = ivp.f - np.einsum("mij,mj->mi", ivp.A, c)
     return _fractional_integral_values(g, ivp.alpha, ivp.grid.dt, weights)
 
 

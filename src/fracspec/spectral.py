@@ -356,7 +356,8 @@ def _split(e) -> tuple[list, list]:
 
 
 # absolute part of the ellipticity bound's allowance: sqrt of the smallest
-# normal double, 2^-511 (see _Plan._clears_zero)
+# normal double, 2^-511; its reciprocal caps the bound's magnitude so that no
+# square in _min_eigenvalue overflows (see _Plan._clears_zero)
 _UNDERFLOW = math.sqrt(sys.float_info.min)
 
 
@@ -378,9 +379,9 @@ class _Plan:
     sum_j |g_j| max |h_j| bounds its magnitude, so Gershgorin's
     min(a11, a22) - |a12| (a11 in 1-D) bounds the min eigenvalue at every
     grid point from J numbers (_clears_zero).  A node whose bound clears
-    zero by the rounding allowance skips the grid; the others, and every
-    node when a diffusion name has rest terms, run the grid check
-    (_check_grid).  Rest terms of b and c do not matter to the bound.
+    zero by the rounding allowance, with magnitudes below 2^511, skips the
+    grid; the others, and every node when a diffusion name has rest terms,
+    run the grid check (_check_grid).  Rest terms of b and c do not matter to the bound.
     """
 
     def __init__(self, basis: SpectralBasis, coeffs: dict):
@@ -456,8 +457,8 @@ class _Plan:
         lambda_min >= min(a11, a22) - |a12| for the symmetric 2x2 matrix, so
         B = min(lo_11, lo_22) - S_12 (lo_11 in 1-D) bounds the min
         eigenvalue from below.  The bound passes when
-        B > widen S + _UNDERFLOW, with S = sum_k S_k and
-        widen = 4 (J + 2) eps, J the most terms of one name: the grid
+        B > widen S + _UNDERFLOW and S < 1/_UNDERFLOW, with S = sum_k S_k
+        and widen = 4 (J + 2) eps, J the most terms of one name: the grid
         check's computed min eigenvalue then exceeds 0 at every point.  With
         u = eps/2 and gamma_J = J u / (1 - J u) (Higham 2002, Accuracy and
         Stability of Numerical Algorithms, ch. 3), the rounding it covers is
@@ -481,9 +482,14 @@ class _Plan:
         second-order terms, as max_operator_norm's 4 N^2 eps covers its SVD.
         _UNDERFLOW (2^-511) covers values below the normal range, where
         rounding is absolute, up to 2^-1075 a product or square: the square
-        root lifts such an error in the radicand to at most ~2^-536.  A
-        non-finite g_j or h sample makes S inf or NaN, so the bound fails
-        and the grid check decides as before.
+        root lifts such an error in the radicand to at most ~2^-536.  At the
+        other end, S < 2^511 keeps _min_eigenvalue's squares finite:
+        |a11 - a22| and |a12| are at most S to first order, so the radicand
+        stays below ~2^1022.  A larger S (a11 = 2e160, say) could overflow
+        the radicand to inf, which makes the grid's min eigenvalue -inf and
+        fails the check; such nodes take the grid check.  A non-finite g_j or
+        h sample makes S inf or NaN, so the bound fails and the grid check
+        decides as before.
         """
         if self.ranges is None:
             return False
@@ -496,7 +502,8 @@ class _Plan:
                 s += abs(gj) * habs
             low[k], size[k] = lo, s
         bound = low["a11"] if "a22" not in low else min(low["a11"], low["a22"]) - size.get("a12", 0.0)
-        return bound > self.widen * sum(size.values()) + _UNDERFLOW
+        s = sum(size.values())
+        return bound > self.widen * s + _UNDERFLOW and s < 1.0 / _UNDERFLOW
 
     def _check_grid(self, t: float, g: np.ndarray, rest: dict) -> None:
         """Ellipticity on the quadrature grid: the diffusion fields sampled

@@ -655,27 +655,6 @@ class TestPicard:
         assert calls == [(ivp.alpha, ivp.grid.M)]
         assert log.residual == _max_norm(got.values - picard_apply(ivp, got.values))
 
-    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
-    def test_broadcast_apply_matches_node_by_node(self, kind, monkeypatch):
-        # a broadcast A is multiplied by its one node: bit for bit the
-        # node-by-node product on a diagonal node (its other terms add exact
-        # zeros), within rounding on a dense one; c and f are smooth in t, so
-        # I^alpha sums terms of one sign and keeps the product's relative error
-        M, N = 257, 6
-        rng = np.random.default_rng(5)
-        A0 = np.diag(rng.uniform(-2.0, 5.0, N)) if kind == "diagonal" else rng.standard_normal((N, N))
-        g = TimeGrid(1.0, M)
-        c = np.cos(np.outer(g.nodes, rng.uniform(0.5, 2.0, N)) + rng.uniform(0.0, 6.0, N))
-        f = 3.0 + np.sin(np.outer(g.nodes, rng.uniform(0.5, 2.0, N)))
-        full = picard_apply(FractionalIVP(0.4, g, np.array(np.broadcast_to(A0, (M + 1, N, N))), f), c)
-        with monkeypatch.context() as patch:
-            patch.setattr(fode.np, "einsum", lambda *a, **k: pytest.fail("node-by-node product"))
-            got = picard_apply(FractionalIVP(0.4, g, np.broadcast_to(A0, (M + 1, N, N)), f), c)
-        if kind == "diagonal":
-            assert got.tobytes() == full.tobytes()
-        else:
-            assert _max_norm(got - full) <= 1e-15 * _max_norm(full)
-
     def test_divergence_reported(self, monkeypatch):
         # the fixed-point residual check is the verification: a tolerance
         # below rounding fails it

@@ -610,6 +610,22 @@ class TestEllipticityBound:
             assert A.tobytes() == unstacked_reference(basis, coeffs, {}, t)[0].tobytes()
         assert grid_checks[0] == 0
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_huge_fields_keep_the_grid_outcome(self, scale, grid_checks):
+        # at a11 = 2e160, a22 = 1e160 the grid check's radicand overflows to
+        # inf (numpy warns) and its min eigenvalue reads -inf, so it raises;
+        # the bound leaves fields that large to it.  At 1e150 the squares
+        # stay finite and the bound clears the node.
+        srcs = {"a11": f"{2 * scale!r} + {scale / 1e10!r}*t*cos(pi*x)", "a22": f"{scale!r}"}
+        plan = _plan(build_basis(DomainGeometry((1.0, 0.7)), 4), tuple((k, parse(v)) for k, v in srcs.items()))
+        t = 0.5
+        g = _compiled(plan.factors)(t, None, None)
+        with np.errstate(over="ignore"):
+            got = form_outcome(plan, t, g)
+            assert got == form_outcome(plan, t, g, bound=False)
+        assert isinstance(got, str) == (scale > 1e154)
+        assert grid_checks[0] == (2 if scale > 1e154 else 1)
+
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_benchmark_shaped_coefficients_skip_the_grid(self, seed, grid_checks):
         # const + amp sin(omega t + phase) times a sin/cos product per axis,
