@@ -441,10 +441,11 @@ class _Plan:
         # None when a diffusion name has rest terms, which no range bounds
         self.ranges = None
         if not any(k in self.rest for k in self.diffusion):
-            self.ranges = {
-                k: [(j, float(H.min()), float(H.max()), float(np.abs(H).max())) for j, H in terms]
-                for k, terms in samples.items()
-            }
+            self.ranges = {k: [] for k in samples}
+            for k, terms in samples.items():
+                for j, H in terms:
+                    lo, hi = float(H.min()), float(H.max())
+                    self.ranges[k].append((j, lo, hi, max(-lo, hi)))
             self.widen = 4.0 * (max(map(len, samples.values())) + 2) * _EPS
 
     def _clears_zero(self, g: list) -> bool:
