@@ -9,7 +9,9 @@ Three routes with zero initial data (the RL and Caputo forms coincide):
   Math. Comput. Simul. 110:96), of order 2; an independent discretization,
   verified by one application of the Volterra operator;
 * variation_of_constants -- product-integration evaluation of the scalar
-  constant-coefficient solution, the oracle for both.
+  constant-coefficient solution, the oracle for both: its kernel's weights
+  come from the kernel's antiderivatives, and they run through the same
+  apply as picard_solve's I^alpha (fraccalc._product_integral_values).
 
 The orders hold for smooth solutions; on a uniform grid the t^alpha start of
 a solution with f(0) != 0 lowers both.  The two solvers share one implicit
@@ -38,14 +40,14 @@ from .fraccalc import (
     TimeGrid,
     _BLOCK_BYTES,
     _EPS,
+    _antiderivative_weights,
     _blocks,
-    _causal_conv,
     _conv_tail,
     _fft_rows,
-    _fractional_integral_values,
     _l1_weights,
     _max_norm,
     _pl_weights,
+    _product_integral_values,
     ml_array,
 )
 
@@ -425,7 +427,7 @@ def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
 def _volterra_apply(ivp: FractionalIVP, c: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """picard_apply with the caller's _pl_weights(alpha, M)."""
     g = ivp.f - np.einsum("mij,mj->mi", ivp.A, c)
-    return _fractional_integral_values(g, ivp.alpha, ivp.grid.dt, weights)
+    return _product_integral_values(g, weights, ivp.grid.dt**ivp.alpha / math.gamma(ivp.alpha + 2.0))
 
 
 def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
@@ -482,12 +484,13 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
     """Scalar constant-coefficient solution by product integration.
 
     c(t) = int_0^t (t-s)^(alpha-1) E_{alpha,alpha}(-lam (t-s)^alpha) f(t-s) ds
-    evaluated with the kernel handled exactly against piecewise-linear f,
-    using its antiderivative u = s^alpha E_{alpha,alpha+1}(-lam s^alpha) and
-    u's antiderivative v = s^(alpha+1) E_{alpha,alpha+2}(-lam s^alpha).
-    Nothing is divided by lam, so the weights stay accurate as lam -> 0 and
-    lam = 0 gives the I^alpha weights.  Exact (up to the special-function
-    tolerance) for constant f; the oracle for both solvers.
+    evaluated with the kernel handled exactly against piecewise-linear f: its
+    weights (fraccalc._antiderivative_weights) come from its antiderivative
+    u = s^alpha E_{alpha,alpha+1}(-lam s^alpha) and u's antiderivative v =
+    s^(alpha+1) E_{alpha,alpha+2}(-lam s^alpha).  Nothing is divided by lam,
+    so the weights stay accurate as lam -> 0 and lam = 0 gives the I^alpha
+    weights.  Exact (up to the special-function tolerance) for constant f;
+    the oracle for both solvers.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -496,18 +499,9 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
     vals = np.asarray(f.values, dtype=float)
     if vals.ndim != 1:
         raise ValueError("variation_of_constants solves scalar problems")
-    M = f.grid.M
     dt = f.grid.dt
-    r = np.arange(M + 1, dtype=float)
-    s = r * dt
+    s = np.arange(f.grid.M + 1, dtype=float) * dt
     sa = s**alpha
-    u = sa * ml_array(alpha, -lam * sa, alpha + 1.0)      # int_0^s kernel
-    v = s * sa * ml_array(alpha, -lam * sa, alpha + 2.0)  # int_0^s u
-    rr = r[1:]
-    du = u[1:] - u[:-1]
-    core = (rr * u[1:] - (rr - 1.0) * u[:-1]) - (v[1:] - v[:-1]) / dt
-    P = (1.0 - rr) * du + core                    # weight of f_j, r = m - j
-    Q = rr * du - core                            # weight of f_{j+1}
-    out = np.zeros(M + 1)
-    out[1:] = _causal_conv(P, vals[:M]) + _causal_conv(Q, vals[1:])
-    return GridSeries(f.grid, out)
+    u = sa * ml_array(alpha, -lam * sa, alpha + 1.0)
+    v = s * sa * ml_array(alpha, -lam * sa, alpha + 2.0)
+    return GridSeries(f.grid, _product_integral_values(vals, _antiderivative_weights(u, v, dt), 1.0))

@@ -2,11 +2,16 @@
 
 Provides Mittag-Leffler evaluation, Riemann-Liouville integrals, the L1
 discretization of Caputo/Riemann-Liouville derivatives, and product-integration
-convolution against the weakly singular kernels
+convolution against the kernels
 
     k(t)   = t^(-alpha) / Gamma(1 - alpha)
     l(t)   = t^(alpha-1) / Gamma(alpha)
     k_n(t) = n * E_alpha(-n t^alpha)
+
+Product integration integrates a kernel exactly against piecewise-linear
+data; its weights (a0, W) come from a series for the powers (_pl_weights) or
+from the kernel's first two antiderivatives (_antiderivative_weights), and
+one routine applies them (_product_integral_values).
 
 All operations are pure functions of immutable inputs.
 """
@@ -662,14 +667,40 @@ def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     return a0, W
 
 
-def _fractional_integral_values(
-    vals: np.ndarray, order: float, dt: float, weights: tuple[np.ndarray, np.ndarray] | None = None
+def _antiderivative_weights(u: np.ndarray, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, W) of a kernel K for _product_integral_values at scale 1, from
+    u(s) = int_0^s K and v(s) = int_0^s u at the nodes s = r dt, r = 0..M.
+
+    The cell s in [(r-1) dt, r dt] holds the data's linear piece between the
+    nodes m-r (at s = r dt) and m-r+1.  By parts, with du = u_r - u_{r-1}
+    and core = r u_r - (r-1) u_{r-1} - (v_r - v_{r-1}) / dt, it gives node
+    m-r the weight P_r = int K(s) (s/dt - r + 1) ds = (1 - r) du + core and
+    node m-r+1 the weight Q_r = int K(s) (r - s/dt) ds = r du - core.  Node
+    m-r collects W[r] = P_r + Q_{r+1} (W[0] = Q_1), and node 0 a0[m] = P_m.
+    A weight is a second difference of v, so the rounding of u and v grows
+    ~r^2 in it: for the power kernel s^(order-1) the weights are off by ~eps
+    r^2 / order relative (4e-10 at order 1, 1.6e-8 at 0.05, r <= 1000), which
+    is why I^alpha keeps the series of _pl_weights.
+    """
+    r = np.arange(1.0, len(u))
+    du = u[1:] - u[:-1]
+    core = (r * u[1:] - (r - 1.0) * u[:-1]) - (v[1:] - v[:-1]) / dt
+    P = (1.0 - r) * du + core
+    W = r * du - core  # Q_r, r = 1..M
+    W[1:] += P[:-1]
+    return np.concatenate([[0.0], P]), W
+
+
+def _product_integral_values(
+    vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray], scale: float
 ) -> np.ndarray:
-    """(I^order x)(t_m) for piecewise-linear x given by nodal values; weights
-    are _pl_weights(order, M), formed here unless the caller holds them."""
+    """scale (a0[m] x_0 + sum_{r=0}^{m-1} W[r] x_{m-r}) at every node m, and 0
+    at node 0, for nodal values x of any trailing shape: a kernel integrated
+    against the piecewise-linear x by its weights (a0, W), from _pl_weights
+    (I^order at scale dt^order / Gamma(order + 2)) or _antiderivative_weights
+    (scale 1, or a factor of the kernel)."""
     M = vals.shape[0] - 1
-    a0, W = _pl_weights(order, M) if weights is None else weights
-    scale = dt**order / gamma(order + 2.0)
+    a0, W = weights
     flat = vals.reshape(M + 1, -1)
     y = _causal_conv(W, flat[1:])
     y += a0[1:, None] * flat[0]
@@ -685,16 +716,14 @@ def rl_integral(x: GridSeries, alpha: float) -> GridSeries:
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return GridSeries(x.grid, _fractional_integral_values(x.values, alpha, x.grid.dt))
+    scale = x.grid.dt**alpha / gamma(alpha + 2.0)
+    return GridSeries(x.grid, _product_integral_values(x.values, _pl_weights(alpha, x.grid.M), scale))
 
 
 def rl_integral_left(x: GridSeries, alpha: float) -> GridSeries:
     """Left-handed fractional integral (I^alpha_{T-} x)(t_m), node M = 0."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    rev = x.values[::-1].copy()
-    out = _fractional_integral_values(rev, alpha, x.grid.dt)
-    return GridSeries(x.grid, out[::-1].copy())
+    out = rl_integral(GridSeries(x.grid, x.values[::-1]), alpha).values
+    return GridSeries(x.grid, out[::-1])
 
 
 def _l1_weights(alpha: float, M: int, dt: float) -> tuple[np.ndarray, float]:
@@ -747,7 +776,9 @@ def rl_derivative(x: GridSeries, alpha: float) -> GridSeries:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Convolution kernel: kind "k", "l" or "kn" (Yosida, with index n)."""
+    """Convolution kernel: kind "k" (t^(-alpha) / Gamma(1 - alpha)), "l"
+    (t^(alpha-1) / Gamma(alpha)) or "kn" (the Yosida kernel n E_alpha(-n
+    t^alpha), with index n)."""
 
     kind: str
     alpha: float
@@ -774,64 +805,24 @@ class Kernel:
         return Kernel("kn", alpha, n)
 
 
-_G2 = 0.5 / math.sqrt(3.0)
-_GAUSS2 = (0.5 - _G2, 0.5 + _G2)  # 2-point Gauss nodes on (0, 1)
-
-
-def _yosida_kernel_values(alpha: float, n: int, s: np.ndarray) -> np.ndarray:
-    """k_n(s) = n * E_alpha(-n s^alpha) elementwise."""
-    return n * ml_array(alpha, -n * (np.maximum(s, 0.0) ** alpha))
-
-
-def _convolve_kn(f_vals: np.ndarray, alpha: float, n: int, grid: TimeGrid) -> np.ndarray:
-    """(k_n * f)(t_m): composite 2-point Gauss per cell against linear f.
-
-    k_n drops from n to O(1) over a layer of width ~ n^(-1/alpha); the cell
-    adjacent to the diagonal is integrated on geometrically graded subcells so
-    the layer is resolved on any grid.
-    """
-    M = grid.M
-    dt = grid.dt
-    gm, gp = _GAUSS2
-    r = np.arange(1.0, M + 1.0)
-    kp = _yosida_kernel_values(alpha, n, (r - gp) * dt)
-    km = _yosida_kernel_values(alpha, n, (r - gm) * dt)
-    kp[0] = 0.0  # diagonal cell handled separately on graded subcells
-    km[0] = 0.0
-
-    flat = f_vals.reshape(M + 1, -1)
-    fp = (1.0 - gp) * flat[:-1] + gp * flat[1:]
-    fm = (1.0 - gm) * flat[:-1] + gm * flat[1:]
-
-    out = np.zeros_like(flat)
-    out[1:] = 0.5 * dt * (_causal_conv(kp, fp) + _causal_conv(km, fm))
-
-    # diagonal cell: s in [0, dt], f(t_m - s) linear between f_m and f_{m-1}
-    layer = n ** (-1.0 / alpha)
-    s_lo = min(layer * 1e-2, dt * 1e-8)
-    edges = np.concatenate(([0.0], np.geomspace(s_lo, dt, 28)))
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    snod = np.concatenate([mids - halfs / math.sqrt(3.0), mids + halfs / math.sqrt(3.0)])
-    swgt = np.concatenate([halfs, halfs])
-    kvals = _yosida_kernel_values(alpha, n, snod)
-    w_right = float(np.dot(swgt, kvals * (1.0 - snod / dt)))  # weight of f_m
-    w_left = float(np.dot(swgt, kvals * (snod / dt)))         # weight of f_{m-1}
-    out[1:] += w_right * flat[1:] + w_left * flat[:-1]
-    return out.reshape(f_vals.shape)
-
-
 def convolve(f: GridSeries, g: Kernel) -> GridSeries:
-    """(g * f)(t_m) by product integration.
+    """(g * f)(t_m) by product integration: every kernel is integrated exactly
+    against the piecewise-linear reconstruction of f.
 
-    Kernels "k" and "l" are weakly singular powers integrated exactly against
-    piecewise-linear f (they are the I^(1-alpha) and I^alpha weights); the
-    smooth Yosida kernel "kn" uses composite two-point Gauss quadrature per
-    subinterval with a graded diagonal cell.
+    Kernels "k" and "l" are weakly singular powers, the I^(1-alpha) and
+    I^alpha weights.  The Yosida kernel k_n = n E_alpha(-n s^alpha) takes its
+    weights from its antiderivative n s E_{alpha,2}(-n s^alpha) and that
+    one's, n s^2 E_{alpha,3}(-n s^alpha), so its layer of width n^(-1/alpha)
+    needs no refinement of the grid.
     """
-    if g.kind == "kn":
-        return GridSeries(f.grid, _convolve_kn(f.values, g.alpha, g.n, f.grid))
-    return rl_integral(f, g.alpha if g.kind == "l" else 1.0 - g.alpha)
+    if g.kind != "kn":
+        return rl_integral(f, g.alpha if g.kind == "l" else 1.0 - g.alpha)
+    dt = f.grid.dt
+    s = np.arange(f.grid.M + 1, dtype=float) * dt
+    z = -g.n * s**g.alpha
+    u = s * ml_array(g.alpha, z, 2.0)
+    v = s * s * ml_array(g.alpha, z, 3.0)
+    return GridSeries(f.grid, _product_integral_values(f.values, _antiderivative_weights(u, v, dt), g.n))
 
 
 def integration_by_parts_residual(f: GridSeries, g: GridSeries, alpha: float) -> float:
@@ -847,7 +838,8 @@ def integration_by_parts_residual(f: GridSeries, g: GridSeries, alpha: float) ->
     t = f.grid.nodes
     # I^a f and the reversed I^a g (rl_integral_left) as two columns of one
     # product integration, which forms the weights once
-    both = _fractional_integral_values(np.stack([f.values, g.values[::-1]], axis=-1), alpha, f.grid.dt)
+    pair = np.stack([f.values, g.values[::-1]], axis=-1)
+    both = _product_integral_values(pair, _pl_weights(alpha, f.grid.M), f.grid.dt**alpha / gamma(alpha + 2.0))
     lhs = np.trapezoid(both[..., 0] * g.values, t)
     rhs = np.trapezoid(f.values * both[::-1, ..., 1], t)
     return float(abs(lhs - rhs))

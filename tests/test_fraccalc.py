@@ -20,6 +20,7 @@ from fracspec import (
 from fracspec.fraccalc import (
     _BLOCK_BYTES,
     _DIRECT_ROWS,
+    _antiderivative_weights,
     _causal_conv,
     _conv_tail,
     _fft_rows,
@@ -27,6 +28,7 @@ from fracspec.fraccalc import (
     _pl_weights,
     ml_array,
 )
+from oracles import ml_laplace_reference
 
 
 def series(T, M, fn):
@@ -311,6 +313,29 @@ class TestCausalConv:
                 assert abs(W[r] / float(w_ref) - 1.0) <= 1e-14
                 assert abs(a0[r] / float(a0_ref) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("order", [0.05, 0.35, 0.9, 1.0])
+    @pytest.mark.parametrize("dt", [1e-3, 0.37])
+    def test_antiderivative_weights_match_power_weights(self, order, dt):
+        # the power kernel s^(order-1) / Gamma(order) from its antiderivatives
+        # gives _pl_weights at scale dt^order / Gamma(order + 2), which pins
+        # the node each cell's weights reach.  A weight ~order r^(order-1)
+        # is a second difference of terms ~r^(order+1), so the rounding of u
+        # and v grows to ~eps r^2 / order of it (1.6e-8 at order 0.05, r =
+        # 1000; at most 8.1 eps (r+1)^2 / order over 9 orders in [0.05, 1]
+        # and 7 steps in [1e-5, 1.7]): the reason I^alpha keeps _pl_weights'
+        # series
+        M = 1000
+        s = np.arange(M + 1) * dt
+        u = s**order / math.gamma(order + 1.0)
+        v = s ** (order + 1.0) / math.gamma(order + 2.0)
+        a0, W = _antiderivative_weights(u, v, dt)
+        ref_a0, ref_W = _pl_weights(order, M)
+        scale = dt**order / math.gamma(order + 2.0)
+        assert a0[0] == 0.0 and len(a0) == M + 1 and len(W) == M
+        bound = 16.0 * np.finfo(float).eps * (np.arange(M) + 1.0) ** 2 / order
+        assert np.all(np.abs(a0[1:] / (scale * ref_a0[1:]) - 1.0) <= bound)  # a0[m], m = 1..M
+        assert np.all(np.abs(W / (scale * ref_W[:M]) - 1.0) <= bound)  # W[r], r = 0..M-1
+
 
 class TestConvolve:
     def test_l_kernel_is_fractional_integral(self):
@@ -336,14 +361,44 @@ class TestConvolve:
         assert res[1024] <= 2e-3
         assert res[2048] <= 0.5 * res[1024]
 
-    @pytest.mark.parametrize("alpha,n", [(0.5, 1), (0.5, 10), (0.3, 100), (0.7, 1000)])
+    @pytest.mark.parametrize("alpha,n", [(0.5, 1), (0.5, 10), (0.3, 100), (0.7, 1000), (0.05, 1000)])
     def test_kn_kernel_against_closed_form(self, alpha, n):
-        # k_n * t = n t^2 E_{alpha,3}(-n t^alpha)
+        # k_n is integrated exactly against each linear piece, so k_n * 1 =
+        # n t E_{alpha,2}(-n t^alpha) and k_n * t = n t^2 E_{alpha,3}(-n
+        # t^alpha) hold to rounding however thin the layer n^(-1/alpha).
+        # Regression: two-point Gauss with a graded diagonal cell read 1.3e-4
+        # relative at alpha = 0.7, n = 1000.  The reference inverts the
+        # Laplace transform: the series cannot cancel |z|^(1/alpha) = 1e60
         g = TimeGrid(1.0, 512)
-        f = GridSeries(g, g.nodes.copy())
-        got = convolve(f, Kernel.kn(alpha, n)).values
-        exact = n * g.nodes**2 * ml_array(alpha, -n * g.nodes**alpha, 3.0)
-        assert np.max(np.abs(got - exact)) < 2e-4
+        one = convolve(GridSeries(g, np.ones(513)), Kernel.kn(alpha, n)).values
+        lin = convolve(GridSeries(g, g.nodes.copy()), Kernel.kn(alpha, n)).values
+        for m in (1, 2, 37, 256, 512):
+            t = g.nodes[m]
+            x = n * t**alpha
+            assert abs(one[m] / (n * t * ml_laplace_reference(alpha, 2.0, x)) - 1.0) <= 1e-12, m
+            assert abs(lin[m] / (n * t * t * ml_laplace_reference(alpha, 3.0, x)) - 1.0) <= 1e-12, m
+
+    @pytest.mark.parametrize("alpha,n", [(0.5, 10), (0.7, 1000), (0.05, 1000)])
+    def test_kn_kernel_second_order(self, alpha, n):
+        # k_n * t^2 = 2 n t^3 E_{alpha,4}(-n t^alpha): the error at T is the
+        # interpolation error of the data alone, second order from the first
+        # grid on (the Gauss rule's ratios were 1.28-1.92)
+        exact = 2.0 * n * ml_laplace_reference(alpha, 4.0, n)
+        errs = []
+        for M in (256, 512, 1024, 2048):
+            g = TimeGrid(1.0, M)
+            errs.append(abs(convolve(GridSeries(g, g.nodes**2), Kernel.kn(alpha, n)).values[-1] - exact))
+        assert all(coarse >= 3.8 * fine for coarse, fine in zip(errs, errs[1:])), errs
+
+    @pytest.mark.parametrize("M", [256, 4096])
+    def test_kn_kernel_columns(self, M):
+        # a two-column series equals its columns bit for bit (M = 4096
+        # convolves by FFT)
+        g = TimeGrid(1.0, M)
+        cols = np.stack([np.exp(g.nodes), np.cos(3.0 * g.nodes)], axis=1)
+        both = convolve(GridSeries(g, cols), Kernel.kn(0.6, 100)).values
+        for c in range(2):
+            assert np.array_equal(both[:, c], convolve(GridSeries(g, cols[:, c]), Kernel.kn(0.6, 100)).values)
 
     def test_yosida_identity_resolved_layer(self):
         # s + n (l * s) = 1 via the discrete convolution; accurate once the

@@ -344,10 +344,11 @@ def test_float_series_region_sweep(alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.97, 0.995, 1.0])
 def test_contour_library_betas(alpha):
-    # the betas the library evaluates (E_alpha in the relaxations and k_n,
-    # alpha + 1 and alpha + 2 in variation_of_constants) over the contour's
-    # range |z|^(1/alpha) <= 50, alpha close to 1 included
-    for beta in (1.0, alpha + 1.0, alpha + 2.0):
+    # the betas the library evaluates (E_alpha in the relaxations, alpha + 1
+    # and alpha + 2 in variation_of_constants, 2 and 3 in the Yosida
+    # kernel's antiderivatives) over the contour's range |z|^(1/alpha) <= 50,
+    # alpha close to 1 included
+    for beta in (1.0, 2.0, 3.0, alpha + 1.0, alpha + 2.0):
         for s in (1e-6, 0.02, 0.7, 3.0, 9.0, 20.0, 35.0, 49.9):
             z = -(s**alpha)
             assert abs(ml(alpha, z, beta) / ml_reference(alpha, beta, z) - 1.0) <= 1e-12, (beta, z)
@@ -476,7 +477,7 @@ def test_contour_agrees_with_tail_past_the_cut(alpha):
     from fracspec.fraccalc import _TAIL_CUT, _algebraic_tail, _contour
 
     z = -np.geomspace(_TAIL_CUT * (1.0 + 1e-12), 1e6, 1000) ** alpha
-    for beta in (1.0, alpha + 1.0, alpha + 2.0):
+    for beta in (1.0, 2.0, 3.0, alpha + 1.0, alpha + 2.0):
         robust, certified = _contour(alpha, beta, z)
         asym, converged = _algebraic_tail(alpha, beta, z)
         assert certified.all() and converged.all(), beta
@@ -581,6 +582,7 @@ for k in range(1, 5):
 for n in (10, 100, 1000):
     convolve(f, Kernel.kn(0.5, n))
 convolve(f, Kernel.kn(0.9, 10))  # alpha near 1: |z|^(1/alpha) up to 13
+convolve(f, Kernel.kn(0.05, 1000))  # |z|^(1/alpha) up to 1e60
 ml_array(0.9, -4 * np.pi**2 * g.nodes**0.9)
 fode.variation_of_constants(np.pi**2, GridSeries(TimeGrid(1.0, 128), np.ones(129)), 0.97)
 fode.variation_of_constants(1e-6, f, 0.5)  # |z| <= 1e-6 at beta = alpha + 2
