@@ -73,8 +73,15 @@ _LEAF = 64
 # times the far history's, relative to the values met so far
 _LEAF_GROWTH = 64.0
 
-# max_operator_norm takes one SVD per this many nodes to bound the others
+# max_operator_norm bounds each node through an anchor node, one a group of
+# this many nodes (Weyl's inequality plus a Frobenius distance); the anchors
+# and the nodes their bound leaves get Gram bounds, not SVDs
 _STRIDE = 32
+
+# max_operator_norm's Gram bound squares each node's Gram matrix this many
+# times, k = 2^_SQUARINGS = 128: within eps of the node's norm where
+# sigma_2/sigma_1 < 0.93 at N = 32, for about a quarter of an SVD's time
+_SQUARINGS = 7
 
 # picard_solve returns its solution only if the fixed-point residual is at
 # most this much of max(1, ||c||)
@@ -182,51 +189,155 @@ def _is_diagonal(A: np.ndarray) -> bool:
 def max_operator_norm(ivp: FractionalIVP) -> float:
     """max_m ||A(t_m)||_2, the essential-sup bound of the contraction proof.
 
-    Exact, without an SVD at every node.  Weyl's inequality for singular
-    values and the triangle inequality give, for any node a,
+    Exact, with an SVD at only a few nodes.  Each node gets an upper bound
+    on its norm, and numpy's SVD runs only where that bound can still exceed
+    the largest norm found, so the result is the max over the same per-node
+    SVD values as a full batched SVD and equals it bit for bit.  Two bounds
+    serve:
+
+    * the Gram bound ||(A_m^T A_m)^k||_F^(1/(2k)), k = 2^_SQUARINGS
+      (_gram_bounds).  With sigma_i the singular values of A_m it equals
+      sigma_1 (sum_i (sigma_i/sigma_1)^(4k))^(1/(4k)): at most N^(1/(4k))
+      sigma_1 (1.0068 sigma_1 at N = 32), and within eps of sigma_1 once
+      (N - 1) (sigma_2/sigma_1)^(4k) < 4k eps, that is sigma_2/sigma_1 <
+      0.93 at N = 32, k = 128;
+    * Weyl's inequality for singular values and the triangle inequality,
+      for any node a:
 
         ||A_m||_2 <= ||A_a||_2 + ||A_m - A_a||_2 <= ||A_a||_2 + ||A_m - A_a||_F.
 
-    One SVD is taken at an anchor node in the middle of every _STRIDE nodes,
-    and every node is bounded through its own group's anchor.  A node whose
-    bound cannot exceed the largest norm found so far cannot hold the max and
-    is skipped; the others get the exact SVD, in decreasing order of their
-    bounds, until no bound left exceeds the running max.  The bound is
-    widened by a rounding allowance of 4 N^2 eps relative, above the backward
-    error of the SVD (a small multiple of N eps ||A||) and the rounding of
-    the Frobenius sums, so no skipped node's computed norm can exceed the
-    result: the max is taken over the same per-node SVD values as a full
-    batched SVD and equals it.  A node bit-identical to its anchor
-    (||A_m - A_a||_F = 0) has the anchor's value and needs no allowance.
+    An anchor node sits in the middle of every _STRIDE nodes.  The anchors
+    get Gram bounds, and the anchor with the largest is the first SVD.  Every
+    other node is bounded through its own group's anchor by Weyl, with the
+    anchor's Gram bound for ||A_a||_2; the nodes whose bound still exceeds
+    the running max get their own Gram bound.  Those go to the SVD in
+    decreasing order of bound, in blocks of 1, 2, 4, ... nodes, until no
+    bound left exceeds the running max.  A node bit-identical to its anchor
+    (||A_m - A_a||_F = 0) has the anchor's value and never goes to the SVD
+    itself.
 
-    On data smooth in t only the nodes near the max survive: about M/_STRIDE
-    anchor SVDs, one streaming pass over A and a few hundred survivor SVDs at
-    N = 32, M = 9216.  The worst case, A varying more between neighbouring
-    nodes than the spread of its norms, sends every node to the exact SVD:
-    about 1.05 times the cost of a full batched SVD.  The differences are
-    formed in blocks of fraccalc._BLOCK_BYTES, so the extra memory is that
-    block plus O(M) doubles, never a copy of A.  A broadcast in time is read
-    at one node (_distinct_nodes): its norm is that node's one SVD.
+    Rounding allowance.  A bound is widened by the factor 1 + 4 N^2 eps before
+    it is compared with a computed norm.  Take A scaled to its largest entry
+    in [1/2, 1) (exact), u = eps/2, gamma_N = N u/(1 - N u) (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), and v the top
+    unit eigenvector of A^T A, eigenvalue lambda_1 = sigma_1^2.  The Gram
+    product errs by at most gamma_N |A|^T |A| entrywise, so by at most
+    gamma_N ||A||_F^2 <= N gamma_N lambda_1 in the 2-norm, and a squaring
+    P' = fl(P P) by at most gamma_N |P|^2, so by N gamma_N ||P||_2^2.
+    Following v through the 1 + _SQUARINGS products, the relative error of
+    P v doubles plus N gamma_N at each, so the last product keeps ||P||_F >=
+    ||P v|| >= lambda_1^k (1 - 2k N gamma_N), and its 2k-th root loses at
+    most about N gamma_N ~ N^2 u relative.  The rescalings are exact (powers
+    of two, their exponents added with np.ldexp); the Frobenius sum, the
+    root and the underflow of entries far below the largest add a few u.
+    The rest of 4 N^2 eps, over 3 N^2 eps, covers the SVD's backward error,
+    a small multiple of N u ||A||_2.  The Weyl bound takes the same factor:
+    the Frobenius distance errs by about N^2 u relative.  For N = 1 to 64
+    the computed Gram bound has stayed within 6 eps below the SVD value.
+
+    Cost.  On data smooth in t: M/_STRIDE anchor Gram bounds (about a quarter
+    of an SVD each at N = 32), one streaming pass over A for the distances,
+    the Gram bounds of the one or two hundred nodes near the max and two SVDs
+    at N = 32, M = 9216.  The worst case, nodes whose singular values cluster
+    (c Q_m with Q_m orthogonal: every Gram bound N^(1/(4k)) above its norm)
+    and that vary more between neighbouring nodes than the spread of their
+    norms, sends every node to both bounds and to the SVD: 1.3-2 times a
+    full batched SVD (N = 8-64, M = 2000).  Gathers are in blocks of
+    fraccalc._BLOCK_BYTES, so the extra memory is one block plus O(M)
+    doubles, never a copy of A.  A broadcast in time is read at one node
+    (_distinct_nodes): its norm is that node's one SVD.
     """
     A = _distinct_nodes(ivp.A)
     n, N = A.shape[0], A.shape[1]
     if N == 0:
         return 0.0
+    slack = 1.0 + 4.0 * N * N * _EPS
     # anchors sit mid-group: node m belongs to group m // _STRIDE, and a last
     # group too short to hold its anchor uses the one before
     first = (min(_STRIDE, n) - 1) // 2
-    anchor_norms = np.linalg.norm(A[first::_STRIDE], 2, axis=(1, 2))
-    best = float(anchor_norms.max())
-    group = np.minimum(np.arange(n) // _STRIDE, len(anchor_norms) - 1)
+    anchors = np.arange(first, n, _STRIDE)
+    anchor_bounds = _gram_bounds(A, anchors)
+    top = int(anchors[np.argmax(anchor_bounds)])
+    best = float(_svd_norms(A, np.array([top]))[0])
+    group = np.minimum(np.arange(n) // _STRIDE, len(anchors) - 1)
     dist = _distances(A, first + _STRIDE * group)
-    bound = (anchor_norms[group] + dist) * (1.0 + 4.0 * N * N * _EPS)
-    survivors = np.flatnonzero((dist > 0.0) & (bound > best))
-    survivors = survivors[np.argsort(-bound[survivors], kind="stable")]
-    for sl in _blocks(len(survivors), N * N):
-        if bound[survivors[sl.start]] <= best:
-            break
-        best = max(best, float(np.linalg.norm(A[survivors[sl]], 2, axis=(1, 2)).max()))
+    bound = anchor_bounds[group] + dist
+    del group
+    # a node bit-identical to its anchor (dist 0) has the anchor's value, and
+    # the top anchor has its SVD
+    settled = dist == 0.0
+    del dist
+    settled[anchors] = False
+    settled[top] = True
+    live = np.flatnonzero((bound * slack > best) & ~settled)
+    del settled
+    own = live[live % _STRIDE != first]  # the anchors have their Gram bounds
+    bound[own] = np.minimum(bound[own], _gram_bounds(A, own))
+    del own
+    live = live[bound[live] * slack > best]
+    live = live[np.argsort(-bound[live], kind="stable")]
+    cap = max(1, _BLOCK_BYTES // (8 * N * N))
+    lo, size = 0, 1
+    while lo < len(live) and bound[live[lo]] * slack > best:
+        block = live[lo : lo + size]
+        block = block[bound[block] * slack > best]
+        best = max(best, float(_svd_norms(A, block).max()))
+        lo, size = lo + size, min(2 * size, cap)
     return best
+
+
+def _svd_norms(A: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """||A_m||_2 for each m in nodes, the largest of numpy's singular values
+    (the value np.linalg.norm(A_m, 2) takes), gathered block by block."""
+    out = np.empty(len(nodes))
+    for sl in _blocks(len(nodes), A.shape[1] ** 2):
+        out[sl] = np.linalg.svdvals(A[nodes[sl]])[:, 0]
+    return out
+
+
+def _gram_bounds(A: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """||(A_m^T A_m)^k||_F^(1/(2k)) >= ||A_m||_2, k = 2^_SQUARINGS, for each m
+    in nodes, up to the rounding max_operator_norm allows for.
+
+    Each node is scaled by a power of two 2^-a so that its largest entry lies
+    in [1/2, 1) (2^-a stays a double: a >= -1022, where a subnormal node
+    scales to entries >= 2^-52).  Its Gram matrix B is then squared
+    _SQUARINGS times.  B and every third square are scaled by the power of
+    two 2^-e that brings the largest diagonal entry into [1/2, 1): a Gram
+    power is symmetric positive semi-definite, so its largest entry is on the
+    diagonal and its largest eigenvalue then lies in [1/2, N), and three
+    squarings keep it within [2^-8, N^8].  So nothing overflows, and only
+    entries far below the largest can underflow.  The exponents add up
+    exactly: the last square C satisfies B^k = 2^E C, and with E = 2k q + r,
+    0 <= r < 2k, the bound is 2^(a+q) (2^r ||C||_F)^(1/(2k)), both powers of
+    two applied by np.ldexp.  The nodes are gathered block by block, two
+    N x N buffers a node within fraccalc._BLOCK_BYTES.
+    """
+    N = A.shape[1]
+    two_k = 2 << _SQUARINGS
+    out = np.empty(len(nodes))
+    for sl in _blocks(len(nodes), 2 * N * N):
+        X = A[nodes[sl]]
+        _, a = np.frexp(np.maximum(X.max(axis=(1, 2)), -X.min(axis=(1, 2))))
+        a = np.maximum(a, -1022)
+        X *= np.ldexp(1.0, -a)[:, None, None]
+        G = np.matmul(X.transpose(0, 2, 1), X)
+        E = np.zeros(len(X), dtype=np.int64)
+        for j in range(_SQUARINGS + 1):
+            if j:
+                np.matmul(G, G, out=X)
+                X, G = G, X
+            if j % 3 == 0:
+                # G stands for B^(2^j) here, so its factor 2^e stands for
+                # 2^(e 2^(_SQUARINGS - j)) in B^k
+                _, e = np.frexp(np.diagonal(G, axis1=1, axis2=2).max(axis=1))
+                G *= np.ldexp(1.0, -e)[:, None, None]
+                E += e * (1 << (_SQUARINGS - j))
+        q, r = np.divmod(E, two_k)
+        root = np.ldexp(np.sqrt(np.einsum("mij,mij->m", G, G)), r) ** (1.0 / two_k)
+        out[sl] = np.ldexp(root, a + q)
+        del X, G  # before the next block is gathered
+    return out
 
 
 def _distances(A: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -448,6 +559,11 @@ def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
     PicardDivergenceError otherwise.  SingularStepError names a node where
     sigma I + A_m is singular.  The residual check costs O(N M log M) (an FFT
     convolution above 2048 nodes), the march O(N M log^2 M).
+
+    Its discrete derivative, the inverse of the product-integration I^alpha
+    matrix, has positive off-diagonal entries from alpha = 0.5 on, so the
+    paper's basic inequality fails there: at alpha = 0.5, T = 1, M = 64 a unit
+    spike at node 1 gives c_3 (Dc)_3 - (D c^2/2)_3 = -0.78.
     """
     alpha = ivp.alpha
     a0, W = _pl_weights(alpha, ivp.grid.M)
@@ -466,18 +582,30 @@ def l1_solve(ivp: FractionalIVP) -> GridSeries:
     The L1 scheme has order 2 - alpha for smooth solutions.
     w0 = dt^(-alpha)/Gamma(2-alpha); A and f are taken at the right endpoint.
     The history w0 sum_{j=1}^{m-1} d_j c_{m-j}, d_j = b_{j-1} - b_j with the
-    L1 weights b, is split by _implicit_march in O(N M log^2 M).  Returns c
-    as a GridSeries of shape (M+1, N).  SingularStepError names a node where
-    w0 I + A_m is singular.
+    L1 weights b (_l1_pair), is split by _implicit_march in O(N M log^2 M).
+    Returns c as a GridSeries of shape (M+1, N).  SingularStepError names a
+    node where w0 I + A_m is singular.
+
+    Its discrete derivative meets the paper's basic inequality V'(c_m) (Dc)_m
+    >= (D V(c))_m for every convex V with V(0) = 0 (Li & Liu 2019, SIAM J.
+    Numer. Anal. 57:2095): the b_j decrease, so every d_j >= 0 and w0 - w0
+    sum_{j<m} d_j = w0 b_{m-1} >= 0.
     """
     M = ivp.grid.M
     if M < 2:
         raise ValueError("L1 marching needs at least M=2 steps")
-    b, w0 = _l1_weights(ivp.alpha, M, ivp.grid.dt)
-    # w0 d[j] weighs c_{m-j} for j = 1..M-1; d[0] unused
-    kernel = w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
+    w0, kernel = _l1_pair(ivp.alpha, M, ivp.grid.dt)
     c = _implicit_march(ivp, w0, kernel, np.zeros((M + 1, ivp.N)), volterra=False)
     return GridSeries(ivp.grid, c)
+
+
+def _l1_pair(alpha: float, M: int, dt: float) -> tuple[float, np.ndarray]:
+    """L1's discrete derivative (Dc)_m = sigma c_m - sum_{r=1}^{m-1} kernel[r]
+    c_{m-r} (c_0 = 0) as the (sigma, kernel) pair _implicit_march takes:
+    sigma = w0 and kernel[r] = w0 (b_{r-1} - b_r) with the L1 weights b,
+    kernel[0] = 0 unused."""
+    b, w0 = _l1_weights(alpha, M, dt)
+    return w0, w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
 
 
 def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSeries:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class SpectralBasis:
         lam = np.array(self.eigenvalues, dtype=float)
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
+
+    @cached_property
+    def _recip_eigenvalues(self) -> np.ndarray:
+        """1 / lambda_k, the H^-1 weights of modal_norms, formed once a basis."""
+        return 1.0 / self.eigenvalues
 
 
 def build_basis(geom: DomainGeometry, N: int) -> SpectralBasis:
@@ -671,10 +676,33 @@ def modal_norms(v: ModalVector) -> tuple[float, float, float]:
     L2^2 = sum c_k^2, H1_0^2 = sum lambda_k c_k^2 (gradient seminorm) and
     H^-1^2 = sum c_k^2 / lambda_k, the dual norm induced by the gradient
     inner product, exact on this basis.
+
+    The three sums are formed from c as it stands whenever sum c_k^2 lies
+    within (2^-1022, 2^1022) and each sum is a normal double.  Otherwise squares
+    would underflow (a nonzero vector at 1e-170 would read 0) or overflow
+    (at 1e160), so c is first scaled by the power of two 2^-e that brings its
+    largest entry into [1/2, 1), and each norm is scaled back by 2^e; a norm
+    beyond the double range is inf.  np.vdot sets off no floating-point
+    warning, and it gives the same BLAS dot product as @.
     """
-    cc = v.coefficients * v.coefficients
-    lam = v.basis.eigenvalues
-    return math.sqrt(cc.sum()), math.sqrt(lam @ cc), math.sqrt(cc @ (1.0 / lam))
+    c, basis = v.coefficients, v.basis
+    # _UNDERFLOW = 2^-511: a sum is normal iff its root exceeds it (a
+    # correctly rounded sqrt is monotone)
+    if _UNDERFLOW < math.sqrt(np.vdot(c, c)) < 1.0 / _UNDERFLOW:
+        cc = c * c
+        l2 = math.sqrt(cc.sum())
+        h1 = math.sqrt(np.vdot(basis.eigenvalues, cc))
+        hm1 = math.sqrt(np.vdot(cc, basis._recip_eigenvalues))
+        if _UNDERFLOW < l2 and _UNDERFLOW < h1 < math.inf and _UNDERFLOW < hm1 < math.inf:
+            return l2, h1, hm1
+    top = float(np.abs(c).max())
+    if top == 0.0 or not math.isfinite(top):
+        return top, top, top
+    e = math.frexp(top)[1]
+    uu = np.ldexp(c, -e) ** 2
+    sums = np.array([uu.sum(), np.vdot(basis.eigenvalues, uu), np.vdot(uu, basis._recip_eigenvalues)])
+    with np.errstate(over="ignore"):
+        return tuple(np.ldexp(np.sqrt(sums), e).tolist())
 
 
 def project(values: np.ndarray, basis: SpectralBasis) -> ModalVector:

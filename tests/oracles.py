@@ -20,7 +20,26 @@ import numpy as np
 from fracspec.fraccalc import _TOL, _blocks, _tail_table
 
 
+# ml_reference inverts the Laplace transform (ml_laplace_reference) instead of
+# summing the series at z < 0, alpha < 1, beta > 0 once |z|^(1/alpha) exceeds
+# this.  The series' cost grows with it: ~0.2 s at 400 (the largest the tests
+# sum), 1.8 s at 720, 39 s at 1937, and (0.7, 2.0, -1000.0), 19307, starts at
+# 8748 digits and ~27,600 terms.  Past 66,000 it is infeasible.
+_SERIES_REACH = 500.0
+
+
 def ml_reference(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) by exact-arithmetic series summation (_ml_series), or
+    on the negative axis past the series' reach (_SERIES_REACH) by
+    ml_laplace_reference.  The two round to the same double at the seven
+    points checked with |z|^(1/alpha) 400-2025 (alpha 0.3-0.9, beta
+    0.4-2)."""
+    if z < 0.0 and alpha < 1.0 and beta > 0.0 and abs(z) ** (1.0 / alpha) > _SERIES_REACH:
+        return ml_laplace_reference(alpha, beta, -z)
+    return _ml_series(alpha, beta, z)
+
+
+def _ml_series(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) by exact-arithmetic series summation.
 
     Precision starts from the cancellation size |z|**(1/alpha) and doubles
@@ -61,11 +80,11 @@ def ml_laplace_reference(alpha: float, beta: float, x: float) -> float:
     inversion, at 30 digits, of the Laplace transform p^(alpha-beta) /
     (p^alpha + x) of t^(beta-1) E_{alpha,beta}(-x t^alpha), taken at t = 1.
 
-    For arguments whose cancellation ml_reference cannot afford, such as
+    For arguments whose cancellation the series cannot afford, such as
     |z|^(1/alpha) = 1e60 at alpha = 0.05, z = -1000: below alpha = 1 the
     transform has no pole on the principal sheet, so no residue enters.  On
     144 points where both run (alpha 0.05-0.99, beta 2-4, |z|^(1/alpha) up
-    to 150) it rounds to the same double as ml_reference.
+    to 150) it rounds to the same double as the series (_ml_series).
     """
     with mpmath.workdps(30):
         a, b, xx = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)

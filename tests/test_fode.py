@@ -153,19 +153,38 @@ class TestOperatorNorm:
         ivp = FractionalIVP(0.25, TimeGrid(1.0, 4), A, np.zeros((5, 2)))
         assert max_operator_norm(ivp) == pytest.approx(4.0 * math.pi**2, rel=1e-7)
 
-    # The cases below check the pruned evaluation (one SVD per _STRIDE nodes
-    # bounds the rest) against the same eigvalsh oracle, node by node.
+    # The cases below check the pruned evaluation (an anchor's Gram bound
+    # plus a Frobenius distance bounds its group of _STRIDE nodes, the nodes
+    # left get their own Gram bounds, and only the nodes whose bound can
+    # still beat the running max get an SVD) against the same eigvalsh
+    # oracle, node by node.
 
     @staticmethod
     def oracle_norms(A):
         return np.array([math.sqrt(np.linalg.eigvalsh(a.T @ a).max()) for a in A])
 
     def check(self, A):
+        # the max over numpy's own per-node SVD values, bit for bit
         M = A.shape[0] - 1
         ivp = FractionalIVP(0.5, TimeGrid(1.0, M), A, np.zeros((M + 1, A.shape[1])))
         norms = self.oracle_norms(A)
-        assert max_operator_norm(ivp) == pytest.approx(norms.max(), rel=1e-13, abs=0.0)
+        got = max_operator_norm(ivp)
+        assert got == pytest.approx(norms.max(), rel=1e-13, abs=0.0)
+        assert got == np.linalg.norm(A, 2, axis=(1, 2)).max()
         return norms
+
+    @staticmethod
+    def svd_spy(monkeypatch):
+        """The node lists max_operator_norm hands to the SVD, one a call."""
+        calls = []
+        svd_norms = fode._svd_norms
+
+        def spy(A, nodes):
+            calls.append(nodes.tolist())
+            return svd_norms(A, nodes)
+
+        monkeypatch.setattr(fode, "_svd_norms", spy)
+        return calls
 
     def test_smooth_peak_off_the_anchors(self):
         # a banded A smooth in t, its largest norm at node 517, which no
@@ -185,9 +204,9 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("scale", [1.0, 2.0**-565], ids=["unit", "tiny"])
     def test_spike_between_anchors(self, scale):
         # one node far above all others, its anchor's norm below the largest
-        # anchor norm: only its distance to the anchor sends it to the
-        # survivor SVD.  At the tiny scale every square of a difference
-        # underflows to 0.
+        # anchor norm: only its distance to the anchor keeps it past its
+        # anchor's bound, to its own Gram bound and the SVD.  At the tiny
+        # scale every square of a difference underflows to 0.
         M, N = 200, 4
         rng = np.random.default_rng(5)
         t = np.linspace(0.0, 1.0, M + 1)
@@ -201,7 +220,8 @@ class TestOperatorNorm:
 
     def test_random_non_smooth(self):
         # neighbouring nodes differ by more than the spread of the norms:
-        # almost every node survives to the exact SVD
+        # almost every node survives the anchors' bounds to its own Gram
+        # bound, which leaves only the nodes near the max to the SVD
         rng = np.random.default_rng(8)
         self.check(rng.standard_normal((1001, 6, 6)))
 
@@ -234,8 +254,9 @@ class TestOperatorNorm:
         self.check(rng.standard_normal((M + 1, 3, 3)))
 
     def test_memory_bounded(self):
-        # A is 67 MB; the pruning forms its differences in blocks, so the
-        # peak is one block plus a few doubles per node
+        # A is 67 MB; the pruning forms its differences, Gram powers and SVD
+        # gathers in blocks, so the peak is one block plus a few doubles per
+        # node
         M, N = 8192, 32
         t = np.linspace(0.0, 1.0, M + 1)
         band = np.diag(np.full(N, 2.0 * N)) + np.diag(np.ones(N - 1), 1)
@@ -249,6 +270,73 @@ class TestOperatorNorm:
             tracemalloc.stop()
         assert peak < _BLOCK_BYTES + 8 * 8 * (M + 1)
         assert got == pytest.approx(np.linalg.norm(A, 2, axis=(1, 2)).max(), rel=1e-13, abs=0.0)
+
+    def test_smooth_banded_takes_few_svds(self, monkeypatch):
+        # shaped like the 1-D PDE systems: N = 32, a banded A smooth in t with
+        # sigma_2/sigma_1 ~ 0.94 and norms ~1e-8 apart between neighbouring
+        # nodes near the max.  The Gram bounds are exact to rounding there,
+        # so about two nodes reach the SVD, against hundreds when the anchors
+        # and survivors were SVD'd
+        M, N = 4096, 32
+        t = np.linspace(0.0, 1.0, M + 1)
+        idx = np.arange(N)
+        A = np.zeros((M + 1, N, N))
+        A[:, idx, idx] = (1.0 + 0.3 * np.sin(2.0 * t + 0.4))[:, None] * ((idx + 1.0) * math.pi) ** 2
+        A[:, idx, idx] += (2.0 + np.cos(5.0 * t))[:, None]
+        A[:, idx[:-1], idx[1:]] = (3.0 * np.cos(3.0 * t))[:, None] * (idx[:-1] + 1.0)
+        A[:, idx[1:], idx[:-1]] = -(3.0 * np.cos(3.0 * t))[:, None] * (idx[:-1] + 1.0)
+        calls = self.svd_spy(monkeypatch)
+        self.check(A)
+        assert sum(map(len, calls)) <= 3
+
+    def test_clustered_top_singular_values(self, monkeypatch):
+        # c_m Q_m with Q_m orthogonal: all N singular values of a node are
+        # equal, so its Gram bound exceeds its norm by N^(1/(4k)) and prunes
+        # nothing.  The nodes go to the SVD in blocks of 1, 2, 4, ... (after
+        # the top anchor's), about twice one batched SVD at worst
+        M, N = 300, 8
+        rng = np.random.default_rng(12)
+        Q = np.linalg.qr(rng.standard_normal((M + 1, N, N)))[0]
+        c = 1.0 + 1e-3 * np.sin(np.arange(M + 1.0))
+        calls = self.svd_spy(monkeypatch)
+        self.check(c[:, None, None] * Q)
+        sizes = [len(nodes) for nodes in calls]
+        assert sizes[0] == 1 and sum(sizes) == M + 1
+        assert sizes[1:-1] == [2**i for i in range(len(sizes) - 2)]
+        assert 1 <= sizes[-1] <= 2 ** (len(sizes) - 2)
+
+    def test_copies_of_an_anchor_take_its_value(self, monkeypatch):
+        # every node bit-identical to its group's anchor: the copies never
+        # reach the SVD, only anchors do
+        M, N = 200, 5
+        anchors = list(range((_STRIDE - 1) // 2, M + 1, _STRIDE))
+        base = np.random.default_rng(13).standard_normal((len(anchors), N, N))
+        A = base[np.minimum(np.arange(M + 1) // _STRIDE, len(anchors) - 1)]
+        calls = self.svd_spy(monkeypatch)
+        self.check(A)
+        assert {m for nodes in calls for m in nodes} <= set(anchors)
+
+    @pytest.mark.parametrize("kind", ["random", "diagonal_dominant", "triangular", "scaled"])
+    def test_gram_bound_allowance(self, kind):
+        # the allowance max_operator_norm's docstring derives: a Gram bound
+        # widened by 1 + 4 N^2 eps is at least numpy's SVD value, and it is
+        # at most N^(1/(4k)) above it.  The triangular nodes are non-normal
+        # with entries over six decades; the scaled ones reach 2^+-600 and
+        # the ends of the double range
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(["random", "diagonal_dominant", "triangular", "scaled"].index(kind))
+        for N in range(1, 65):
+            A = rng.standard_normal((8, N, N))
+            if kind == "diagonal_dominant":
+                A[:, np.arange(N), np.arange(N)] += 4.0 * N * np.sign(rng.standard_normal((8, N)))
+            elif kind == "triangular":
+                A = np.triu(A * 10.0 ** rng.uniform(-3.0, 3.0, A.shape))
+            elif kind == "scaled":
+                A = np.ldexp(A, np.array([600, -600, 600, -600, 1000, -1000, -1060, 0])[:, None, None])
+            svd = np.linalg.norm(A, 2, axis=(1, 2))
+            bound = fode._gram_bounds(A, np.arange(len(A)))
+            assert np.all(bound * (1.0 + 4.0 * N * N * eps) >= svd), N
+            assert np.all(bound / svd <= N ** (0.25 / 2**fode._SQUARINGS) * (1.0 + 4.0 * N * N * eps)), N
 
 
 class TestDiagonalTest:
@@ -575,6 +663,66 @@ class TestFractionalIVP:
             f = f + 0.5j
         with pytest.raises(ValueError, match="real"):
             FractionalIVP(0.5, TimeGrid(1.0, M), A, f)
+
+
+class TestBasicInequality:
+    # The paper's basic inequality V'(c) D^alpha c >= D^alpha V(c) for convex
+    # V (Vergara & Zacher 2008, Math. Z. 259:287; 2015, SIAM J. Math. Anal.
+    # 47:210), scheme by scheme.  A discrete derivative (Dc)_m = sigma c_m -
+    # sum_{r>=1} kernel[r] c_{m-r}, c_0 = 0, meets it for every convex V with
+    # V(0) = 0 if kernel[r] >= 0 for r >= 1 and sigma - sum_{r<m} kernel[r]
+    # >= 0 at every m (convexity at c_m, summed with those weights).
+
+    @staticmethod
+    def derivative_matrix(sigma, kernel, M):
+        # D on nodes 1..M: D[m, m] = sigma, D[m, m-r] = -kernel[r]
+        D = sigma * np.eye(M)
+        for r in range(1, M):
+            D -= kernel[r] * np.eye(M, k=-r)
+        return D
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("M", [2, 3, 64, 1000, 2**16])
+    def test_l1_pair_meets_both_conditions(self, alpha, M):
+        # the pair l1_solve marches with (fode._l1_pair, from _l1_weights)
+        sigma, kernel = fode._l1_pair(alpha, M, 1.0 / M)
+        assert kernel[0] == 0.0 and (kernel >= 0.0).all()
+        assert (sigma - np.cumsum(kernel) >= 0.0).all()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_l1_gap_on_random_data(self, alpha):
+        # the inequality itself for V = c^2/2 and V = e^c - 1 - c, within
+        # rounding of the terms
+        M = 64
+        sigma, kernel = fode._l1_pair(alpha, M, 1.0 / M)
+        D = self.derivative_matrix(sigma, kernel, M)
+        rng = np.random.default_rng(int(100 * alpha))
+        for _ in range(20):
+            c = rng.standard_normal(M)
+            for V, dV in [(lambda x: 0.5 * x * x, lambda x: x), (lambda x: np.expm1(x) - x, np.expm1)]:
+                gap = dV(c) * (D @ c) - D @ V(c)
+                scale = np.abs(D) @ (np.abs(dV(c)) * np.abs(c) + np.abs(V(c)))
+                assert (gap >= -1e-13 * scale).all()
+
+    def test_picard_spike_breaks_it(self):
+        # picard_solve's discrete derivative is the inverse of the
+        # product-integration I^alpha matrix (picard_apply with A = 0, one
+        # unit column of f a node).  At alpha = 0.5 it has a positive
+        # off-diagonal entry, so a unit spike at node 1 breaks the |c|^2
+        # inequality c (Dc) >= D(c^2/2) at node 3 (a documented property of
+        # the scheme); at alpha = 0.3 every gap of the spike is >= 0
+        M = 64
+        gaps = {}
+        for alpha in (0.5, 0.3):
+            ivp = FractionalIVP(alpha, TimeGrid(1.0, M), np.zeros((M + 1, M + 1, M + 1)), np.eye(M + 1))
+            J = picard_apply(ivp, np.zeros((M + 1, M + 1)))[1:, 1:]
+            D = np.linalg.inv(J)
+            c = np.zeros(M)
+            c[0] = 1.0
+            gaps[alpha] = c * (D @ c) - D @ (0.5 * c * c)
+        assert gaps[0.5][2] == pytest.approx(-0.7816, abs=1e-4)
+        assert gaps[0.5][:2].min() > 0.0
+        assert gaps[0.3].min() >= 0.0
 
 
 class TestPicard:

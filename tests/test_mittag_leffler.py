@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -13,7 +14,7 @@ import pytest
 from fracspec import ml_array
 from fracspec.fraccalc import ml, recip_gamma
 
-from oracles import algebraic_tail_full_table, ml_reference
+from oracles import _SERIES_REACH, _ml_series, algebraic_tail_full_table, ml_laplace_reference, ml_reference
 
 
 def test_exponential_case():
@@ -67,6 +68,28 @@ def test_exponential_identity_segment():
 )
 def test_against_extended_precision_reference(alpha, beta, z):
     assert ml(alpha, z, beta) == pytest.approx(ml_reference(alpha, beta, z), rel=5e-12)
+
+
+def test_reference_past_the_series_reach():
+    # ml_reference(0.7, 2.0, -1000.0) (the Yosida kernel at n = 1000, t = 1)
+    # would start its series at 8748 digits and ~27,600 terms; past
+    # |z|^(1/alpha) = _SERIES_REACH it inverts the Laplace transform instead
+    start = time.perf_counter()
+    got = ml_reference(0.7, 2.0, -1000.0)
+    assert time.perf_counter() - start < 5.0
+    assert got == ml_laplace_reference(0.7, 2.0, 1000.0)
+    # and agrees with the algebraic expansion -sum_k z^-k / Gamma(2 - 0.7 k),
+    # cut after eight terms: the ninth is ~1e-23 of the sum
+    tail = -math.fsum((-1000.0) ** -k / math.gamma(2.0 - 0.7 * k) for k in range(1, 9))
+    assert abs(got / tail - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, beta, z", [(0.9, 0.9, -300.0), (0.5, 1.0, -23.0)])
+def test_reference_route_just_past_the_reach(alpha, beta, z):
+    # |z|^(1/alpha) = 565 and 529: the series still runs in about a second
+    # here, and the Laplace inversion rounds to its double
+    assert abs(z) ** (1.0 / alpha) > _SERIES_REACH
+    assert ml_reference(alpha, beta, z) == _ml_series(alpha, beta, z)
 
 
 def test_deep_negative_axis_via_independent_erfc():

@@ -864,6 +864,61 @@ class TestModalNorms:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * w
 
+    @staticmethod
+    def scaled_fsum_norms(c, lam):
+        # each sum exactly rounded by math.fsum over c scaled by a power of
+        # two, so no square under- or overflows; the root scaled back
+        e = math.frexp(max(abs(x) for x in c))[1]
+        u = [math.ldexp(x, -e) for x in c]
+        sums = (
+            math.fsum(x * x for x in u),
+            math.fsum(k * x * x for k, x in zip(lam, u)),
+            math.fsum(x * x / k for k, x in zip(lam, u)),
+        )
+        return tuple(math.ldexp(math.sqrt(s), e) for s in sums)
+
+    @pytest.mark.parametrize("size", [1e-170, 1e170, 1e160, 1e-300, 1e300])
+    def test_far_from_unit_size(self, size):
+        # regression: at 1e-170 every square underflowed and a nonzero
+        # vector read (0, 0, 0); at 1e160 the squares overflowed, a
+        # RuntimeWarning (an error under -W error::RuntimeWarning) and inf
+        basis = build_basis(DomainGeometry((1.0,)), 3)
+        got = modal_norms(ModalVector(np.array([size, 0.0, 0.0]), basis))
+        want = (size, size * math.pi, size / math.pi)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4e-16 * w
+
+    @pytest.mark.parametrize("lengths, N", [((3.0,), 32), ((1.0, 0.7), 40)])
+    @pytest.mark.parametrize("decade", [-170, 150, 0])
+    def test_mixed_magnitudes_against_fsum(self, lengths, N, decade):
+        # coefficients over twelve decades around 10^decade, some entries'
+        # squares far below (or above) the double range
+        basis = build_basis(DomainGeometry(lengths), N)
+        rng = np.random.default_rng(N + 1000 + decade)
+        lam = basis.eigenvalues.tolist()
+        for _ in range(20):
+            c = rng.standard_normal(N) * 10.0 ** rng.uniform(decade - 6.0, decade + 6.0, N)
+            got = modal_norms(ModalVector(c, basis))
+            for g, w in zip(got, self.scaled_fsum_norms(c.tolist(), lam)):
+                assert abs(g - w) <= 1e-14 * w
+
+    def test_normal_range_sums_unchanged(self):
+        # inside the normal range the three sums are the plain ones, bit for
+        # bit: c*c summed by numpy, and the two BLAS dot products
+        basis = build_basis(DomainGeometry((1.0, 0.7)), 40)
+        lam = basis.eigenvalues
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            c = rng.standard_normal(40) * 10.0 ** rng.uniform(-100.0, 100.0, 40)
+            cc = c * c
+            want = (math.sqrt(cc.sum()), math.sqrt(lam @ cc), math.sqrt(cc @ (1.0 / lam)))
+            assert modal_norms(ModalVector(c, basis)) == want
+
+    def test_non_finite(self):
+        basis = build_basis(DomainGeometry((1.0,)), 3)
+        assert modal_norms(ModalVector(np.array([1.0, np.inf, 0.0]), basis)) == (math.inf,) * 3
+        assert all(math.isnan(x) for x in modal_norms(ModalVector(np.array([1.0, np.nan, 0.0]), basis)))
+
     def test_poincare(self):
         basis = build_basis(DomainGeometry((2.0,)), 4)
         assert poincare_constant(basis) == pytest.approx(2.0 / math.pi, rel=1e-14)
