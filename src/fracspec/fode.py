@@ -24,8 +24,10 @@ Both return the Galerkin coefficients as a fraccalc.GridSeries, the
 library's one time-series type: read-only values of shape (M+1, N), row m
 holding c(t_m) and row 0 exactly zero.
 
-A solve is sequential in time; distinct solves share no state and may run
-concurrently.
+A solve is sequential in time; distinct solves share only read-only cached
+kernels (fraccalc._KERNELS: the product-integration weights, the L1 pair and
+their spectra, at most fraccalc._KERNEL_ENTRIES entries and _KERNEL_BYTES
+bytes) and may run concurrently.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .fraccalc import (
     TimeGrid,
     _BLOCK_BYTES,
     _EPS,
+    _KERNELS,
     _antiderivative_weights,
     _blocks,
     _conv_tail,
@@ -599,11 +602,17 @@ def l1_solve(ivp: FractionalIVP) -> GridSeries:
     return GridSeries(ivp.grid, c)
 
 
+@_KERNELS.memoize
 def _l1_pair(alpha: float, M: int, dt: float) -> tuple[float, np.ndarray]:
     """L1's discrete derivative (Dc)_m = sigma c_m - sum_{r=1}^{m-1} kernel[r]
     c_{m-r} (c_0 = 0) as the (sigma, kernel) pair _implicit_march takes:
     sigma = w0 and kernel[r] = w0 (b_{r-1} - b_r) with the L1 weights b,
-    kernel[0] = 0 unused."""
+    kernel[0] = 0 unused.
+
+    Formed once per (alpha, M, dt) and kept read-only in fraccalc._KERNELS,
+    with the spectra of kernel that the march's history tails form
+    (fraccalc._conv_tail); the whole cache holds at most _KERNEL_ENTRIES
+    entries and _KERNEL_BYTES (16 MiB) of arrays."""
     b, w0 = _l1_weights(alpha, M, dt)
     return w0, w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
 

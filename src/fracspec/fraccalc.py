@@ -13,14 +13,19 @@ data; its weights (a0, W) come from a series for the powers (_pl_weights) or
 from the kernel's first two antiderivatives (_antiderivative_weights), and
 one routine applies them (_product_integral_values).
 
-All operations are pure functions of immutable inputs.
+All operations are pure functions of immutable inputs.  Kernels that depend
+only on the order and the grid (_pl_weights, fode's L1 pair) and their FFT
+spectra are formed once and kept, read-only, in one bounded LRU (_KERNELS),
+which threads share.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -507,15 +512,18 @@ def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
     * a point neither route settles: the series in extended precision,
       scaled to the cancellation size |z|^(1/alpha).
 
-    Raises ValueError for alpha or beta out of range or any element that is
-    not finite, and OverflowError if z**(1/alpha) exceeds the floating range
-    at any positive element.
+    Raises ValueError for alpha or beta out of range, a complex z or any
+    element that is not finite, and OverflowError if z**(1/alpha) exceeds
+    the floating range at any positive element.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be a positive real, got {beta}")
     a, b = alpha, beta
+    # a cast to float would drop an imaginary part with only a warning
+    if np.iscomplexobj(z):
+        raise ValueError("arguments must be real, got complex values")
     zf = np.asarray(z, dtype=float)
     finite = np.isfinite(zf)
     if not finite.all():
@@ -576,6 +584,112 @@ def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
 # passes by ~5e-20, which FFT rounding would flip.
 _DIRECT_ROWS = 2048
 
+# The kernels that depend only on the order and the grid (_pl_weights and
+# fode._l1_pair) and the spectra _causal_conv and _conv_tail form of them are
+# kept in one LRU, _KERNELS, of at most this many entries and this many bytes
+# of array data (16 MiB), whatever the grids; kernels a caller builds
+# (_antiderivative_weights) are transformed at every call
+_KERNEL_ENTRIES = 16
+_KERNEL_BYTES = 16 << 20
+
+
+class _KernelCache:
+    """A bounded LRU of grid kernels and their FFT spectra, shared by threads.
+
+    memoize(fn) keeps fn's result, a tuple of arrays and floats, by fn's
+    arguments, and makes its arrays read-only; the wrapper has fn as
+    __wrapped__ and a cache_clear that drops fn's entries.  spectrum(kernel,
+    n, L) is np.fft.rfft(kernel[:n], n=L): kept with the entry of a kernel
+    the cache holds, formed afresh for any other array.  An entry leaves
+    with its spectra, least recently used first, so the cache holds at most
+    _KERNEL_ENTRIES entries and _KERNEL_BYTES bytes of array data, plus a
+    few hundred bytes of bookkeeping an entry and spectrum; a result or a
+    spectrum that does not fit is returned and not kept.  An array's id
+    names its entry only while the cache holds the array, so no other array
+    is taken for it.  A lock guards the tables and the arrays are formed
+    outside it; two threads that form one entry at once form the same bits,
+    and the first is kept.
+    """
+
+    def __init__(self, entries: int, nbytes: int):
+        self._entries = entries
+        self._nbytes = nbytes
+        self._lock = threading.Lock()
+        self._table = OrderedDict()  # (fn, args) -> [value, {(n, L): spectrum}, bytes]
+        self._owner = {}  # id of a kept array -> its key
+        self._bytes = 0
+
+    def memoize(self, fn):
+        @wraps(fn)
+        def cached(*args):
+            key = (fn, args)
+            with self._lock:
+                entry = self._table.get(key)
+                if entry is not None:
+                    self._table.move_to_end(key)
+                    return entry[0]
+            value = fn(*args)
+            arrays = [v for v in value if isinstance(v, np.ndarray)]
+            for a in arrays:
+                a.flags.writeable = False
+            size = sum(a.nbytes for a in arrays)
+            with self._lock:
+                entry = self._table.get(key)
+                if entry is not None:  # another thread formed it first
+                    return entry[0]
+                if size <= self._nbytes:
+                    self._table[key] = [value, {}, size]
+                    self._owner.update((id(a), key) for a in arrays)
+                    self._grow(size)
+            return value
+
+        cached.cache_clear = lambda: self._clear(fn)
+        return cached
+
+    def spectrum(self, kernel: np.ndarray, n: int, L: int) -> np.ndarray:
+        with self._lock:
+            key = self._owner.get(id(kernel))
+            if key is not None:
+                spec = self._table[key][1].get((n, L))
+                if spec is not None:
+                    self._table.move_to_end(key)
+                    return spec
+        spec = np.fft.rfft(kernel[:n], n=L)
+        if key is None:
+            return spec
+        spec.flags.writeable = False
+        with self._lock:
+            # evicted meanwhile, or formed by another thread
+            entry = self._table.get(key)
+            if entry is not None and (n, L) not in entry[1] and entry[2] + spec.nbytes <= self._nbytes:
+                entry[1][(n, L)] = spec
+                entry[2] += spec.nbytes
+                self._table.move_to_end(key)
+                self._grow(spec.nbytes)
+        return spec
+
+    def _grow(self, size: int) -> None:
+        """Count size more bytes, then evict from the oldest entry on until
+        both bounds hold; the newest entry fits on its own, so it stays."""
+        self._bytes += size
+        while len(self._table) > self._entries or self._bytes > self._nbytes:
+            self._drop(next(iter(self._table)))
+
+    def _drop(self, key) -> None:
+        value, _, size = self._table.pop(key)
+        self._bytes -= size
+        for v in value:
+            if isinstance(v, np.ndarray):
+                del self._owner[id(v)]
+
+    def _clear(self, fn) -> None:
+        with self._lock:
+            for key in [k for k in self._table if k[0] is fn]:
+                self._drop(key)
+
+
+_KERNELS = _KernelCache(_KERNEL_ENTRIES, _KERNEL_BYTES)
+
 
 def _fft_rows(kspec: np.ndarray, x: np.ndarray, L: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the length-L circular convolution of a kernel with
@@ -604,13 +718,15 @@ def _causal_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     the same 1-d kernel.  Entries of kernel beyond len(x) are never used.
     Up to n = _DIRECT_ROWS rows each column is one direct np.convolve,
     O(n^2); above it every column is one rfft product of a power-of-two
-    length L >= 2n - 1 (_fft_rows), O(n log n), so no row is wrapped.
+    length L >= 2n - 1 (_fft_rows), O(n log n), so no row is wrapped; the
+    kernel's spectrum is _KERNELS.spectrum's, kept if the cache holds the
+    kernel.
     """
     n = x.shape[0]
     flat = x.reshape(n, -1)
     if n > _DIRECT_ROWS:
         L = 1 << (2 * n - 2).bit_length()
-        return _fft_rows(np.fft.rfft(kernel[:n], n=L), flat, L, 0, n).reshape(x.shape)
+        return _fft_rows(_KERNELS.spectrum(kernel, n, L), flat, L, 0, n).reshape(x.shape)
     out = np.empty(flat.shape)
     for c in range(flat.shape[1]):
         out[:, c] = np.convolve(kernel, flat[:, c])[:n]
@@ -624,10 +740,11 @@ def _conv_tail(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     n zeros: what a block of inputs adds to the n outputs after it.  One
     rfft/irfft product of length L = k + n (_fft_rows) covers x; the circular
     wrap lands below row k, so the rows kept are exact up to rounding.
-    kernel needs L entries; kernel[0] never enters.
+    kernel needs L entries; kernel[0] never enters.  The kernel's spectrum
+    is _KERNELS.spectrum's, kept if the cache holds the kernel.
     """
     k = x.shape[0]
-    return _fft_rows(np.fft.rfft(kernel[: k + n], n=k + n), x, k + n, k, k + n)
+    return _fft_rows(_KERNELS.spectrum(kernel, k + n, k + n), x, k + n, k, k + n)
 
 
 # _pl_weights sums its series from r = 2 on, where the terms fall by >= 2 each
@@ -635,6 +752,7 @@ def _conv_tail(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
 _PL_TERMS = 64
 
 
+@_KERNELS.memoize
 def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights for I^order against piecewise-linear data on a uniform grid.
 
@@ -649,6 +767,11 @@ def _pl_weights(order: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     m^b sum_{k>=2} C(b,k) (-x)^k and 2 r^b sum_{k>=1} C(b,2k) x^(2k), whose
     terms are all >= 0 for b in [1, 2]; at r = 1 they reduce to a0 = order
     and W = 2 (2^order - 1).
+
+    Formed once per (order, M) and kept read-only in _KERNELS, with the
+    spectra of W that _causal_conv and _conv_tail form; all its entries
+    together hold at most _KERNEL_ENTRIES entries and _KERNEL_BYTES (16 MiB)
+    of arrays.
     """
     op1 = order + 1.0
     coef = np.zeros(_PL_TERMS)  # C(b,k) (-1)^k

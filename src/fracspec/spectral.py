@@ -9,7 +9,7 @@ modal projections, and the modal L2 / H1_0 / H^-1 norms.  Bases and assembled
 forms are immutable; assembly at distinct times is a pure function and may run
 concurrently.
 
-Two bounded LRU caches keep what does not depend on t.  _tabulate holds the
+Three bounded LRU caches keep what does not depend on t.  _tabulate holds the
 per-axis sine tables of a basis on its quadrature grid.  _plan holds, per
 (basis, coefficient expressions), each coefficient split into terms
 g(t) h(x, y) with every t-free factor h sampled and contracted once (sum
@@ -17,10 +17,12 @@ factorisation on the sine basis), the diffusion samples stacked per name,
 the range of each diffusion factor h over the grid, the validated
 coefficient names and the constant-diagonal case.  Coefficients are keyed by
 value, so a dict changed between calls is never served a stale plan, and a
-changed forcing reuses the plan.  At each node assemble evaluates the
-forcing and the g(t) in one call of their compiled tuple
-(exprfield._compiled, which computes a subtree they share once), sums the
-contracted matrices, and samples and contracts whatever does not split.
+changed forcing reuses the plan.  _node_plan holds, per (basis,
+coefficients, forcing), the plan and the compiled tuple of the forcing and
+the g(t) (exprfield._compiled, which computes a subtree they share once), so
+a node makes one cache lookup.  At each node assemble evaluates that tuple
+in one call, sums the contracted matrices, and samples and contracts
+whatever does not split.
 Ellipticity on the quadrature grid is checked first by a lower bound built
 from the g(t) and the plan's ranges; only a node whose bound does not clear
 zero by a rounding allowance (or a diffusion coefficient that does not
@@ -153,10 +155,13 @@ class ModalVector:
     basis: SpectralBasis
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
+        c = np.asarray(self.coefficients)
+        # a cast to float would drop an imaginary part with only a warning
+        if c.dtype.kind == "c":
+            raise ValueError("coefficients must be real, got complex values")
         if c.shape != (self.basis.N,):
             raise ValueError(f"expected {self.basis.N} coefficients, got shape {c.shape}")
-        c = c.copy()
+        c = c.astype(float)  # a copy
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
@@ -553,6 +558,18 @@ def _plan(basis: SpectralBasis, coeffs: tuple) -> _Plan:
     return _Plan(basis, dict(coeffs))
 
 
+@lru_cache(maxsize=16)
+def _node_plan(basis: SpectralBasis, coeffs: tuple, forcing: tuple) -> tuple:
+    """What assemble needs at every node, one lookup a node: the plan of
+    (basis, coeffs), the compiled function of the in-range forcing
+    expressions and the plan's t-factors, and the load positions of those
+    forcing modes."""
+    plan = _plan(basis, coeffs)
+    live = [(j, e) for j, e in forcing if 1 <= j <= basis.N]
+    values = _compiled(tuple(e for _, e in live) + plan.factors)
+    return plan, values, [j - 1 for j, _ in live]
+
+
 def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     """Form matrix and load at time t.
 
@@ -571,11 +588,14 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     expressions) and kept in a small LRU keyed by value, so a coefficient
     replaced in the same dict gets a new plan and a new forcing does not
     (see _Plan): each coefficient is split into terms g(t) h(x, y) and the
-    t-free factors h are contracted once.  A call evaluates the in-range
-    forcing expressions and then the g(t) in one compiled call, which
-    computes a subtree they share (t^2, a sine of t) once; it then sums the
-    contracted matrices, and samples and contracts only what does not split
-    (sin(x*t), say).  The diffusion coefficients are checked for
+    t-free factors h are contracted once.  A second small LRU, keyed by
+    value on (basis, coefficients, forcing), holds the plan with the
+    compiled function of the forcing and the t-factors (_node_plan), so a
+    node makes one cache lookup, and a forcing replaced in the same dict
+    gets a new entry.  A call evaluates the in-range forcing expressions and
+    then the g(t) in one compiled call, which computes a subtree they share
+    (t^2, a sine of t) once; it then sums the contracted matrices, and
+    samples and contracts only what does not split (sin(x*t), say).  The diffusion coefficients are checked for
     ellipticity on the quadrature grid at every call: first by a Gershgorin
     lower bound from the t-factors and each term's range over the grid,
     which must clear zero by a rounding allowance; where it does not, or a
@@ -583,14 +603,12 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     (_Plan._clears_zero).  Either way a node passes or raises
     EllipticityError as the grid check alone would, and A is the same.
     """
-    n = basis.N
-    modes = [j for j in forcing if 1 <= j <= n]
-    plan = _plan(basis, tuple(coeffs.items()))
-    values = _compiled(tuple(forcing[j] for j in modes) + plan.factors)(t, None, None)
-    load = np.zeros(n)
-    for j, v in zip(modes, values):
-        load[j - 1] = v
-    return AssembledForm(plan.form(t, values[len(modes):]), load)
+    plan, values_at, positions = _node_plan(basis, tuple(coeffs.items()), tuple(forcing.items()))
+    values = values_at(t, None, None)
+    load = np.zeros(basis.N)
+    for i, v in zip(positions, values):
+        load[i] = v
+    return AssembledForm(plan.form(t, values[len(positions):]), load)
 
 
 @dataclass(frozen=True)
@@ -711,6 +729,9 @@ def project(values: np.ndarray, basis: SpectralBasis) -> ModalVector:
     c_i = int u e_i evaluated with the assembly quadrature; idempotent within
     quadrature tolerance.  Values are ordered as quadrature_grid's points.
     """
+    # a cast to float would drop an imaginary part with only a warning
+    if np.iscomplexobj(values):
+        raise ValueError("values must be real, got complex values")
     tab = _tabulate(basis)
     u = np.asarray(values, dtype=float).ravel()
     size = math.prod(len(p) for p in tab.pts)

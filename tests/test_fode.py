@@ -691,15 +691,19 @@ class TestBasicInequality:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_l1_gap_on_random_data(self, alpha):
-        # the inequality itself for V = c^2/2 and V = e^c - 1 - c, within
-        # rounding of the terms
+        # the inequality itself for V = c^2/2, V = e^c - 1 - c and V = |c|^p,
+        # p = 1, 1.5, 2.5, 4 (the subgradient 0 at c = 0), within rounding of
+        # the terms
         M = 64
         sigma, kernel = fode._l1_pair(alpha, M, 1.0 / M)
         D = self.derivative_matrix(sigma, kernel, M)
         rng = np.random.default_rng(int(100 * alpha))
+        convex = [(lambda x: 0.5 * x * x, lambda x: x), (lambda x: np.expm1(x) - x, np.expm1)]
+        for p in (1.0, 1.5, 2.5, 4.0):
+            convex.append((lambda x, p=p: np.abs(x) ** p, lambda x, p=p: p * np.sign(x) * np.abs(x) ** (p - 1.0)))
         for _ in range(20):
             c = rng.standard_normal(M)
-            for V, dV in [(lambda x: 0.5 * x * x, lambda x: x), (lambda x: np.expm1(x) - x, np.expm1)]:
+            for V, dV in convex:
                 gap = dV(c) * (D @ c) - D @ V(c)
                 scale = np.abs(D) @ (np.abs(dV(c)) * np.abs(c) + np.abs(V(c)))
                 assert (gap >= -1e-13 * scale).all()

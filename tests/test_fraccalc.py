@@ -1,11 +1,15 @@
 """Discrete fractional-calculus operators: closed-form oracles and invariants."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fracspec import fode, fraccalc
+from fracspec.fode import FractionalIVP, l1_solve, picard_solve
 from fracspec import (
     GridSeries,
     Kernel,
@@ -20,6 +24,9 @@ from fracspec import (
 from fracspec.fraccalc import (
     _BLOCK_BYTES,
     _DIRECT_ROWS,
+    _KERNEL_BYTES,
+    _KERNEL_ENTRIES,
+    _KERNELS,
     _antiderivative_weights,
     _causal_conv,
     _conv_tail,
@@ -531,3 +538,127 @@ class TestMaxNorm:
     def test_zeros(self):
         assert _max_norm(np.zeros((6, 3))) == 0.0
         assert _max_norm(np.zeros((6, 0))) == 0.0
+
+
+def clear_kernels():
+    _pl_weights.cache_clear()
+    fode._l1_pair.cache_clear()
+
+
+class TestKernelCache:
+    # _pl_weights and fode._l1_pair keep their kernels, and the FFT spectra
+    # formed of them, in one LRU (_KERNELS) bounded by entries and by bytes;
+    # cached or not, every result has the same bits
+
+    @staticmethod
+    def outputs(M):
+        """I^alpha (by FFT above _DIRECT_ROWS), the IBP residual and both
+        solvers (history tails by FFT) on a grid of M steps, as arrays."""
+        g = TimeGrid(1.0, M)
+        t = g.nodes
+        x = GridSeries(g, np.column_stack([np.sin(3.0 * t), t**1.5]))
+        f, h = GridSeries(g, x.values[:, 0]), GridSeries(g, x.values[:, 1])
+        ivp = FractionalIVP(0.4, g, (2.0 + np.sin(t))[:, None, None], np.cos(t)[:, None])
+        return [
+            rl_integral(x, 0.4).values,
+            np.array(integration_by_parts_residual(f, h, 0.4)),
+            picard_solve(ivp)[0].values,
+            l1_solve(ivp).values,
+        ]
+
+    def test_cold_warm_and_uncached_agree(self, monkeypatch):
+        M = 3000
+        clear_kernels()
+        cold = self.outputs(M)
+        a0, W = _pl_weights(0.4, M)
+        warm = self.outputs(M)
+        assert _pl_weights(0.4, M)[1] is W  # served from the cache
+        assert len(_KERNELS._table[(_pl_weights.__wrapped__, (0.4, M))][1]) >= 1  # with a spectrum
+        uncached_pl = _pl_weights.__wrapped__
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(uncached_pl(0.4, M), (a0, W)))
+        monkeypatch.setattr(fraccalc, "_pl_weights", uncached_pl)
+        monkeypatch.setattr(fode, "_pl_weights", uncached_pl)
+        monkeypatch.setattr(fode, "_l1_pair", fode._l1_pair.__wrapped__)
+        uncached = self.outputs(M)
+        for c, w, u in zip(cold, warm, uncached):
+            assert c.tobytes() == w.tobytes() == u.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        a0, W = _pl_weights(0.3, 100)
+        _, kernel = fode._l1_pair(0.3, 100, 0.01)
+        spectrum = _KERNELS.spectrum(W, 100, 256)
+        for array in (a0, W, kernel, spectrum):
+            with pytest.raises(ValueError):
+                array[1] = 0.0
+
+    def test_entries_bounded(self):
+        clear_kernels()
+        for M in range(10, 10 + 2 * _KERNEL_ENTRIES):
+            _pl_weights(0.5, M)
+            fode._l1_pair(0.5, M, 1.0 / M)
+        assert len(_KERNELS._table) == _KERNEL_ENTRIES
+
+    def test_retained_memory_bounded(self):
+        # each grid keeps (a0, W) and the spectrum of W, ~2 MiB at M = 2^16:
+        # past the byte bound the oldest entries leave, so what stays is
+        # within _KERNEL_BYTES plus a little bookkeeping; one call first loads
+        # the modules it imports on first use
+        rl_integral(GridSeries(TimeGrid(1.0, 2 * _DIRECT_ROWS), np.ones(2 * _DIRECT_ROWS + 1)), 0.5)
+        clear_kernels()
+        formed = 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(_KERNEL_ENTRIES):
+                M = 2**16 + i
+                rl_integral(GridSeries(TimeGrid(1.0, M), np.ones(M + 1)), 0.5)
+                formed += 16 * (M + 1) + 16 * ((1 << (2 * M - 2).bit_length()) // 2 + 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert formed > 2 * _KERNEL_BYTES
+        assert held <= _KERNEL_BYTES + 64 * 1024
+
+    def test_threads_on_two_grids_match_serial(self):
+        # distinct solves may run concurrently; they share the cached kernels
+        grids = (2500, 3000) * 3
+        clear_kernels()
+        serial = {M: self.outputs(M) for M in set(grids)}
+        clear_kernels()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(self.outputs, grids))
+        for M, out in zip(grids, runs):
+            for a, b in zip(serial[M], out):
+                assert a.tobytes() == b.tobytes()
+
+    def test_stress_keeps_the_books(self):
+        # more threads than cores on more grids than the cache holds, with a
+        # short switch interval: every kernel and spectrum has the uncached
+        # bits, and the byte count and the id table still match the entries.
+        # The grids are small, so the threads spend their time in the cache
+        grids = [(0.3 + 0.01 * (i % 5), 8 + i) for i in range(2 * _KERNEL_ENTRIES)]
+
+        def work(start):
+            for order, M in grids[start:] * 15:
+                a0, W = _pl_weights(order, M)
+                L = 1 << (2 * M - 2).bit_length()
+                spectrum = _KERNELS.spectrum(W, M, L)
+                ref = _pl_weights.__wrapped__(order, M)
+                assert a0.tobytes() == ref[0].tobytes() and W.tobytes() == ref[1].tobytes()
+                assert spectrum.tobytes() == np.fft.rfft(ref[1][:M], n=L).tobytes()
+
+        clear_kernels()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(work, i) for i in range(4)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        table = _KERNELS._table
+        held = [v for entry in table.values() for v in entry[0] if isinstance(v, np.ndarray)]
+        spectra = [spec for entry in table.values() for spec in entry[1].values()]
+        assert _KERNELS._bytes == sum(a.nbytes for a in held + spectra) == sum(e[2] for e in table.values())
+        assert set(_KERNELS._owner) == {id(a) for a in held}
+        assert len(table) <= _KERNEL_ENTRIES and _KERNELS._bytes <= _KERNEL_BYTES

@@ -287,6 +287,13 @@ def test_ml_array_rejects_non_finite(bad):
         ml_array(0.5, [[-1.0, 0.0], [bad, 2.0]])
 
 
+def test_ml_array_rejects_complex():
+    # regression: the cast to float dropped the imaginary part with only a
+    # ComplexWarning, so E_0.5(-1 + 1j) returned E_0.5(-1)
+    with pytest.raises(ValueError, match="real"):
+        ml_array(0.5, np.array([-1.0 + 1.0j]))
+
+
 def test_ml_array_overflow_signalled():
     # one overflowing positive element fails the whole array, as in ml
     with pytest.raises(OverflowError):

@@ -24,7 +24,8 @@ from fracspec.spectral import (
     quadrature_grid,
 )
 from fracspec import spectral
-from fracspec.spectral import _SLOTS, _plan, _Plan, _tabulate, _Tabulation
+from fracspec.exprfield import _compiled
+from fracspec.spectral import _SLOTS, _node_plan, _plan, _Plan, _tabulate, _Tabulation
 
 from oracles import dense_form_2d, simpson
 
@@ -455,15 +456,24 @@ class TestCompiledAssembly:
             assert H.shape == (len(js), math.prod(tab.shape))
 
     def test_plan_built_once_for_two_forcings(self, monkeypatch):
+        # one plan for both forcings, and one compiled function per distinct
+        # forcing: a repeated node reaches neither (one lookup in _node_plan)
         built = [0]
+        compiled = [0]
 
         class Counted(_Plan):
             def __init__(self, *args):
                 built[0] += 1
                 super().__init__(*args)
 
+        def counted_compiled(exprs):
+            compiled[0] += 1
+            return _compiled(exprs)
+
         monkeypatch.setattr(spectral, "_Plan", Counted)
+        monkeypatch.setattr(spectral, "_compiled", counted_compiled)
         _plan.cache_clear()
+        _node_plan.cache_clear()
         basis = build_basis(DomainGeometry((1.0,)), 6)
         coeffs = {k: parse(v) for k, v in SHARED_COEFFS.items()}
         first = {j: parse(v) for j, v in SHARED_FORCING.items()}
@@ -474,6 +484,7 @@ class TestCompiledAssembly:
                 A, f = unstacked_reference(basis, coeffs, forcing, t)
                 assert F.matrix.tobytes() == A.tobytes() and F.load.tobytes() == f.tobytes()
         assert built[0] == 1
+        assert compiled[0] == 2
 
 
 @pytest.fixture
@@ -832,6 +843,13 @@ class TestModalNorms:
         basis = build_basis(DomainGeometry((1.0,)), 2)
         assert modal_norms(ModalVector(np.zeros(2), basis)) == (0.0, 0.0, 0.0)
 
+    def test_rejects_complex(self):
+        # regression: the cast to float dropped the imaginary part with only
+        # a ComplexWarning, so 1 + 2j was stored as 1
+        basis = build_basis(DomainGeometry((1.0,)), 3)
+        with pytest.raises(ValueError, match="real"):
+            ModalVector(np.array([1.0 + 2.0j, 0.0, 0.0]), basis)
+
     def test_two_modes_and_quadrature_crosscheck(self):
         basis = build_basis(DomainGeometry((1.0,)), 2)
         v = ModalVector(np.array([1.0, 1.0]), basis)
@@ -958,6 +976,14 @@ class TestProject:
             for p, q in basis.modes
         ])
         assert np.max(np.abs(C - np.eye(40))) <= 1e-10
+
+    def test_rejects_complex(self):
+        # regression: the cast to float dropped the imaginary part of the
+        # samples with only a ComplexWarning
+        basis = build_basis(DomainGeometry((1.0,)), 3)
+        x = quadrature_grid(basis)
+        with pytest.raises(ValueError, match="real"):
+            project(x * (1.0 - x) * (1.0 + 1.0j), basis)
 
     def test_idempotent(self):
         basis = build_basis(DomainGeometry((1.0,)), 5)
