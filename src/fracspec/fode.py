@@ -24,10 +24,9 @@ Both return the Galerkin coefficients as a fraccalc.GridSeries, the
 library's one time-series type: read-only values of shape (M+1, N), row m
 holding c(t_m) and row 0 exactly zero.
 
-A solve is sequential in time; distinct solves share only read-only cached
-kernels (fraccalc._KERNELS: the product-integration weights, the L1 pair and
-their spectra, at most fraccalc._KERNEL_ENTRIES entries and _KERNEL_BYTES
-bytes) and may run concurrently.
+Each time kernel (I^alpha, the Mittag-Leffler kernel, the L1 pair) has one
+recipe in fraccalc.  A solve is sequential in time; distinct solves share
+only fraccalc's read-only cached kernels and may run concurrently.
 """
 
 from __future__ import annotations
@@ -42,16 +41,15 @@ from .fraccalc import (
     TimeGrid,
     _BLOCK_BYTES,
     _EPS,
-    _KERNELS,
-    _antiderivative_weights,
     _blocks,
     _conv_tail,
     _fft_rows,
-    _l1_weights,
+    _l1_pair,
     _max_norm,
+    _ml_kernel_values,
     _pl_weights,
-    _product_integral_values,
-    ml_array,
+    _rl_integral_values,
+    gamma,
 )
 
 __all__ = [
@@ -170,23 +168,29 @@ def _distinct_nodes(A: np.ndarray) -> np.ndarray:
     return A[:1] if A.strides[0] == 0 else A
 
 
+def _growing_blocks(lo: int, n: int, node_size: int):
+    """Slices of nodes lo..n-1 that double, lo:2lo, 2lo:4lo, ... (from lo = 0:
+    0:1, 1:2, 2:4, ...), capped at the nodes whose node_size bytes fit
+    _BLOCK_BYTES: a scan that stops at a node reads at most twice the nodes
+    up to it."""
+    cap = max(1, _BLOCK_BYTES // max(1, node_size))
+    while lo < n:
+        hi = min(lo + min(max(1, lo), cap), n)
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _is_diagonal(A: np.ndarray) -> bool:
     """Whether every node of A is diagonal.
 
     A is finite, so a node is diagonal iff all its nonzeros lie on the
     diagonal; counting them allocates nothing the size of A.  The nodes are
-    counted in blocks of 1, 1, 2, 4, ... nodes, returning at the first block
-    with an off-diagonal nonzero: at most twice the nodes up to it are read,
-    and diagonal data is read once, in about log2 M blocks.
+    counted in _growing_blocks, returning at the first block with an
+    off-diagonal nonzero.
     """
     nodes = _distinct_nodes(A)
-    lo, hi = 0, 1
-    while lo < len(nodes):
-        block = nodes[lo:hi]
-        if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block, axis1=1, axis2=2)):
-            return False
-        lo, hi = hi, 2 * hi
-    return True
+    blocks = (nodes[sl] for sl in _growing_blocks(0, len(nodes), nodes[0].size))
+    return all(np.count_nonzero(b) == np.count_nonzero(np.diagonal(b, axis1=1, axis2=2)) for b in blocks)
 
 
 def max_operator_norm(ivp: FractionalIVP) -> float:
@@ -368,20 +372,13 @@ def _is_time_constant(A: np.ndarray) -> bool:
     """Whether every node of A equals node 0 exactly.
 
     A broadcast in time is read at one node (_distinct_nodes).  Otherwise the
-    nodes after node 0 are compared with it in blocks of 1, 2, 4, ... nodes,
-    each block's boolean temporary within _BLOCK_BYTES, returning at the
-    first block that differs: at most twice the nodes up to the first one
-    that differs are read, and a constant A is read once.
+    nodes after node 0 are compared with it in _growing_blocks, each block's
+    boolean temporary within _BLOCK_BYTES, returning at the first block that
+    differs.
     """
     nodes = _distinct_nodes(A)
-    first = nodes[0]
-    cap = max(1, _BLOCK_BYTES // max(1, first.size))
-    lo, step = 1, 1
-    while lo < len(nodes):
-        if np.not_equal(nodes[lo : lo + step], first).any():
-            return False
-        lo, step = lo + step, min(2 * step, cap)
-    return True
+    blocks = _growing_blocks(1, len(nodes), nodes[0].size)
+    return not any(np.not_equal(nodes[sl], nodes[0]).any() for sl in blocks)
 
 
 def _check_diagonal_steps(sigma: float, diag: np.ndarray, lo: int) -> np.ndarray:
@@ -535,13 +532,8 @@ def _implicit_march(
 
 def picard_apply(ivp: FractionalIVP, c: np.ndarray) -> np.ndarray:
     """One application of the Volterra operator: I^alpha(f - A c)."""
-    return _volterra_apply(ivp, c, _pl_weights(ivp.alpha, ivp.grid.M))
-
-
-def _volterra_apply(ivp: FractionalIVP, c: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """picard_apply with the caller's _pl_weights(alpha, M)."""
     g = ivp.f - np.einsum("mij,mj->mi", ivp.A, c)
-    return _product_integral_values(g, weights, ivp.grid.dt**ivp.alpha / math.gamma(ivp.alpha + 2.0))
+    return _rl_integral_values(g, ivp.alpha, ivp.grid.dt)
 
 
 def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
@@ -570,10 +562,10 @@ def picard_solve(ivp: FractionalIVP) -> tuple[GridSeries, PicardLog]:
     """
     alpha = ivp.alpha
     a0, W = _pl_weights(alpha, ivp.grid.M)
-    sigma = math.gamma(alpha + 2.0) / ivp.grid.dt**alpha
+    sigma = gamma(alpha + 2.0) / ivp.grid.dt**alpha
     # node 0 enters through a0 alone, with g_0 = f_0 since c_0 = 0
     c = _implicit_march(ivp, sigma, W, a0[:, None] * ivp.f[0], volterra=True)
-    residual = _max_norm(c - _volterra_apply(ivp, c, (a0, W)))
+    residual = _max_norm(c - picard_apply(ivp, c))
     if not residual <= _PICARD_TOL * max(1.0, _max_norm(c)):  # a NaN fails too
         raise PicardDivergenceError(f"fixed-point residual {residual:.4g} exceeds the tolerance")
     return GridSeries(ivp.grid, c), PicardLog(1, residual)
@@ -602,27 +594,12 @@ def l1_solve(ivp: FractionalIVP) -> GridSeries:
     return GridSeries(ivp.grid, c)
 
 
-@_KERNELS.memoize
-def _l1_pair(alpha: float, M: int, dt: float) -> tuple[float, np.ndarray]:
-    """L1's discrete derivative (Dc)_m = sigma c_m - sum_{r=1}^{m-1} kernel[r]
-    c_{m-r} (c_0 = 0) as the (sigma, kernel) pair _implicit_march takes:
-    sigma = w0 and kernel[r] = w0 (b_{r-1} - b_r) with the L1 weights b,
-    kernel[0] = 0 unused.
-
-    Formed once per (alpha, M, dt) and kept read-only in fraccalc._KERNELS,
-    with the spectra of kernel that the march's history tails form
-    (fraccalc._conv_tail); the whole cache holds at most _KERNEL_ENTRIES
-    entries and _KERNEL_BYTES (16 MiB) of arrays."""
-    b, w0 = _l1_weights(alpha, M, dt)
-    return w0, w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
-
-
 def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSeries:
     """Scalar constant-coefficient solution by product integration.
 
     c(t) = int_0^t (t-s)^(alpha-1) E_{alpha,alpha}(-lam (t-s)^alpha) f(t-s) ds
     evaluated with the kernel handled exactly against piecewise-linear f: its
-    weights (fraccalc._antiderivative_weights) come from its antiderivative
+    weights (fraccalc._ml_kernel_values) come from its antiderivative
     u = s^alpha E_{alpha,alpha+1}(-lam s^alpha) and u's antiderivative v =
     s^(alpha+1) E_{alpha,alpha+2}(-lam s^alpha).  Nothing is divided by lam,
     so the weights stay accurate as lam -> 0 and lam = 0 gives the I^alpha
@@ -633,12 +610,6 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not (0.0 <= lam < math.inf):  # a NaN fails too
         raise ValueError(f"decay rate lam must be a nonnegative finite real, got {lam}")
-    vals = np.asarray(f.values, dtype=float)
-    if vals.ndim != 1:
+    if f.values.ndim != 1:
         raise ValueError("variation_of_constants solves scalar problems")
-    dt = f.grid.dt
-    s = np.arange(f.grid.M + 1, dtype=float) * dt
-    sa = s**alpha
-    u = sa * ml_array(alpha, -lam * sa, alpha + 1.0)
-    v = s * sa * ml_array(alpha, -lam * sa, alpha + 2.0)
-    return GridSeries(f.grid, _product_integral_values(vals, _antiderivative_weights(u, v, dt), 1.0))
+    return GridSeries(f.grid, _ml_kernel_values(f.values, f.grid.dt, alpha, alpha, lam, 1.0))

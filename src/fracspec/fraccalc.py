@@ -11,10 +11,12 @@ convolution against the kernels
 Product integration integrates a kernel exactly against piecewise-linear
 data; its weights (a0, W) come from a series for the powers (_pl_weights) or
 from the kernel's first two antiderivatives (_antiderivative_weights), and
-one routine applies them (_product_integral_values).
+one routine applies them (_product_integral_values).  Each time kernel has
+one recipe, which fode calls too: I^alpha (_rl_integral_values), the
+Mittag-Leffler kernels (_ml_kernel_values) and the L1 pair (_l1_pair).
 
 All operations are pure functions of immutable inputs.  Kernels that depend
-only on the order and the grid (_pl_weights, fode's L1 pair) and their FFT
+only on the order and the grid (_pl_weights, _l1_pair) and their FFT
 spectra are formed once and kept, read-only, in one bounded LRU (_KERNELS),
 which threads share.
 """
@@ -101,6 +103,11 @@ def _max_norm(values: np.ndarray) -> float:
     return scale * math.sqrt(np.einsum("mi,mi->m", unit, unit).max())
 
 
+def _is_count(n) -> bool:
+    """Whether n is an integer >= 1 (a bool is not a count)."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
 # ---------------------------------------------------------------------------
 # grid types
 # ---------------------------------------------------------------------------
@@ -116,7 +123,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"horizon T must be a positive real, got {self.T}")
-        if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
+        if not _is_count(self.M):
             raise ValueError(f"step count M must be a positive integer, got {self.M}")
         nodes = np.linspace(0.0, self.T, self.M + 1)
         nodes.flags.writeable = False
@@ -146,10 +153,8 @@ class GridSeries:
         if np.iscomplexobj(self.values):
             raise ValueError("series values must be real, got complex values")
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape[0] != self.grid.M + 1:
-            raise ValueError(
-                f"values length {vals.shape[0]} does not match grid with M={self.grid.M}"
-            )
+        if vals.ndim == 0 or vals.shape[0] != self.grid.M + 1:
+            raise ValueError(f"values of shape {vals.shape} do not match grid with M={self.grid.M}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("series values must all be finite")
         vals = vals.copy()
@@ -585,7 +590,7 @@ def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
 _DIRECT_ROWS = 2048
 
 # The kernels that depend only on the order and the grid (_pl_weights and
-# fode._l1_pair) and the spectra _causal_conv and _conv_tail form of them are
+# _l1_pair) and the spectra _causal_conv and _conv_tail form of them are
 # kept in one LRU, _KERNELS, of at most this many entries and this many bytes
 # of array data (16 MiB), whatever the grids; kernels a caller builds
 # (_antiderivative_weights) are transformed at every call
@@ -831,6 +836,28 @@ def _product_integral_values(
     return np.concatenate([np.zeros_like(flat[:1]), y]).reshape(vals.shape)
 
 
+def _rl_integral_values(vals: np.ndarray, order: float, dt: float) -> np.ndarray:
+    """I^order of the nodal values vals at every node, 0 at node 0: the
+    weights _pl_weights(order, M) at scale dt^order / Gamma(order + 2); for
+    rl_integral, integration_by_parts_residual and fode.picard_apply."""
+    return _product_integral_values(vals, _pl_weights(order, len(vals) - 1), dt**order / gamma(order + 2.0))
+
+
+def _ml_kernel_values(vals: np.ndarray, dt: float, alpha: float, beta: float, lam: float, scale: float):
+    """The kernel scale s^(beta-1) E_{alpha,beta}(-lam s^alpha) integrated
+    against the nodal values vals at every node, 0 at node 0, by the weights
+    (_antiderivative_weights) of its antiderivative u = s^beta
+    E_{alpha,beta+1}(-lam s^alpha) and u's, v = s^(beta+1)
+    E_{alpha,beta+2}(-lam s^alpha); for k_n (beta = 1, lam = scale = n) and
+    fode.variation_of_constants (beta = alpha, scale 1)."""
+    s = np.arange(vals.shape[0], dtype=float) * dt
+    sb = s**beta
+    z = -lam * s**alpha
+    u = sb * ml_array(alpha, z, beta + 1.0)
+    v = s * sb * ml_array(alpha, z, beta + 2.0)
+    return _product_integral_values(vals, _antiderivative_weights(u, v, dt), scale)
+
+
 def rl_integral(x: GridSeries, alpha: float) -> GridSeries:
     """Right-handed fractional integral (I^alpha x)(t_m), node 0 = 0.
 
@@ -839,8 +866,7 @@ def rl_integral(x: GridSeries, alpha: float) -> GridSeries:
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    scale = x.grid.dt**alpha / gamma(alpha + 2.0)
-    return GridSeries(x.grid, _product_integral_values(x.values, _pl_weights(alpha, x.grid.M), scale))
+    return GridSeries(x.grid, _rl_integral_values(x.values, alpha, x.grid.dt))
 
 
 def rl_integral_left(x: GridSeries, alpha: float) -> GridSeries:
@@ -855,6 +881,17 @@ def _l1_weights(alpha: float, M: int, dt: float) -> tuple[np.ndarray, float]:
     j = np.arange(M, dtype=float)
     b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
     return b, dt ** (-alpha) / gamma(2.0 - alpha)
+
+
+@_KERNELS.memoize
+def _l1_pair(alpha: float, M: int, dt: float) -> tuple[float, np.ndarray]:
+    """L1's discrete derivative (Dc)_m = sigma c_m - sum_{r=1}^{m-1} kernel[r]
+    c_{m-r} (c_0 = 0) as the (sigma, kernel) pair fode's march takes: sigma =
+    w0 and kernel[r] = w0 (b_{r-1} - b_r) with the L1 weights b
+    (_l1_weights), kernel[0] = 0 unused.  Formed once per (alpha, M, dt) and
+    kept read-only in _KERNELS, with the spectra _conv_tail forms of kernel."""
+    b, w0 = _l1_weights(alpha, M, dt)
+    return w0, w0 * np.concatenate([[0.0], b[:-1] - b[1:]])
 
 
 def caputo_derivative(x: GridSeries, alpha: float) -> GridSeries:
@@ -934,18 +971,12 @@ def convolve(f: GridSeries, g: Kernel) -> GridSeries:
 
     Kernels "k" and "l" are weakly singular powers, the I^(1-alpha) and
     I^alpha weights.  The Yosida kernel k_n = n E_alpha(-n s^alpha) takes its
-    weights from its antiderivative n s E_{alpha,2}(-n s^alpha) and that
-    one's, n s^2 E_{alpha,3}(-n s^alpha), so its layer of width n^(-1/alpha)
-    needs no refinement of the grid.
+    weights from its antiderivatives (_ml_kernel_values), so its layer of
+    width n^(-1/alpha) needs no refinement of the grid.
     """
     if g.kind != "kn":
         return rl_integral(f, g.alpha if g.kind == "l" else 1.0 - g.alpha)
-    dt = f.grid.dt
-    s = np.arange(f.grid.M + 1, dtype=float) * dt
-    z = -g.n * s**g.alpha
-    u = s * ml_array(g.alpha, z, 2.0)
-    v = s * s * ml_array(g.alpha, z, 3.0)
-    return GridSeries(f.grid, _product_integral_values(f.values, _antiderivative_weights(u, v, dt), g.n))
+    return GridSeries(f.grid, _ml_kernel_values(f.values, f.grid.dt, g.alpha, 1.0, g.n, g.n))
 
 
 def integration_by_parts_residual(f: GridSeries, g: GridSeries, alpha: float) -> float:
@@ -958,11 +989,14 @@ def integration_by_parts_residual(f: GridSeries, g: GridSeries, alpha: float) ->
         raise ValueError("f and g must share one grid")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    # the trapezoids run along the last axis, which is time only for a scalar series
+    if f.values.ndim != 1 or g.values.ndim != 1:
+        raise ValueError("integration_by_parts_residual takes a scalar series f and g")
     t = f.grid.nodes
     # I^a f and the reversed I^a g (rl_integral_left) as two columns of one
     # product integration, which forms the weights once
     pair = np.stack([f.values, g.values[::-1]], axis=-1)
-    both = _product_integral_values(pair, _pl_weights(alpha, f.grid.M), f.grid.dt**alpha / gamma(alpha + 2.0))
+    both = _rl_integral_values(pair, alpha, f.grid.dt)
     lhs = np.trapezoid(both[..., 0] * g.values, t)
     rhs = np.trapezoid(f.values * both[::-1, ..., 1], t)
     return float(abs(lhs - rhs))

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .exprfield import BinOp, ExprDomainError, Neg, Num, _compiled, evaluate, variables_of
-from .fraccalc import _EPS, _max_norm
+from .fraccalc import _EPS, _is_count, _max_norm
 
 __all__ = [
     "DomainGeometry",
@@ -74,7 +74,8 @@ class DomainGeometry:
     lengths: tuple
 
     def __post_init__(self):
-        ls = tuple(float(L) for L in self.lengths)
+        # a str or bytes would be read as one length a character
+        ls = () if isinstance(self.lengths, (str, bytes)) else tuple(float(L) for L in self.lengths)
         if not (1 <= len(ls) <= 2) or not all(0.0 < L < math.inf for L in ls):
             raise ValueError(f"lengths must be one or two positive finite reals, got {self.lengths}")
         object.__setattr__(self, "lengths", ls)
@@ -112,8 +113,8 @@ class SpectralBasis:
 
 def build_basis(geom: DomainGeometry, N: int) -> SpectralBasis:
     """First N eigenpairs of the Dirichlet Laplacian on the box."""
-    if N < 1:
-        raise ValueError(f"mode count must be >= 1, got {N}")
+    if not _is_count(N):
+        raise ValueError(f"mode count N must be a positive integer, got {N}")
     if geom.dim == 1:
         L = geom.lengths[0]
         modes = tuple(range(1, N + 1))
@@ -564,8 +565,11 @@ def _node_plan(basis: SpectralBasis, coeffs: tuple, forcing: tuple) -> tuple:
     (basis, coeffs), the compiled function of the in-range forcing
     expressions and the plan's t-factors, and the load positions of those
     forcing modes."""
+    for j, _ in forcing:
+        if not _is_count(j):
+            raise ValueError(f"forcing mode {j!r} is not an integer >= 1")
     plan = _plan(basis, coeffs)
-    live = [(j, e) for j, e in forcing if 1 <= j <= basis.N]
+    live = [(j, e) for j, e in forcing if j <= basis.N]
     values = _compiled(tuple(e for _, e in live) + plan.factors)
     return plan, values, [j - 1 for j, _ in live]
 
@@ -577,7 +581,8 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     to expressions in t and the box's variables; only the upper triangle of
     the diffusion matrix is read, so (a_kl) is symmetric by construction.
     forcing maps mode indices (1-based, in eigenvalue order) to expressions
-    in t alone; modes above N are truncated, unlisted modes are zero.  A
+    in t alone; modes above N are truncated, unlisted modes are zero, and a
+    key that is not an integer >= 1 (True, 0, 1.5) raises ValueError.  A
     variable the box (or, in the forcing, t alone) lacks raises
     ExprDomainError naming it.
 

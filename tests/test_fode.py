@@ -11,7 +11,7 @@ import pytest
 
 from oracles import l1_march, ml_reference, pi_march
 
-from fracspec import fode
+from fracspec import fode, fraccalc
 from fracspec.fraccalc import _BLOCK_BYTES, GridSeries, TimeGrid, _max_norm, ml, ml_array, rl_integral
 from fracspec.fode import (
     _LEAF,
@@ -797,14 +797,23 @@ class TestPicard:
             assert log.residual <= 1e-13 * np.abs(got.values).max()
 
     def test_residual_shares_the_march_weights(self, monkeypatch):
-        # the march and the residual check take one set of product-integration
-        # weights; the residual is picard_apply's bit for bit
+        # the march (fode) and the residual check (picard_apply, through
+        # fraccalc's I^alpha) take one formation of the product-integration
+        # weights, the same arrays; the residual is picard_apply's bit for bit
         ivp = dense_system(M=300)
-        pl_weights = fode._pl_weights
+        pl_weights = fraccalc._pl_weights
         calls = []
-        monkeypatch.setattr(fode, "_pl_weights", lambda *a: calls.append(a) or pl_weights(*a))
+
+        def spy(*args):
+            calls.append((args, pl_weights(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fode, "_pl_weights", spy)
+        monkeypatch.setattr(fraccalc, "_pl_weights", spy)
         got, log = picard_solve(ivp)
-        assert calls == [(ivp.alpha, ivp.grid.M)]
+        assert [args for args, _ in calls] == [(ivp.alpha, ivp.grid.M)] * 2
+        (_, march), (_, residual) = calls
+        assert march[0] is residual[0] and march[1] is residual[1]
         assert log.residual == _max_norm(got.values - picard_apply(ivp, got.values))
 
     def test_divergence_reported(self, monkeypatch):

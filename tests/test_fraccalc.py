@@ -58,6 +58,13 @@ class TestTimeGrid:
             GridSeries(TimeGrid(1.0, 4), np.ones(4))
         with pytest.raises(ValueError):
             GridSeries(TimeGrid(1.0, 4), np.array([0.0, 1.0, np.nan, 0.0, 0.0]))
+        # regressions: True passed as one step, and 0-d values failed with
+        # an IndexError at vals.shape[0]
+        for M in (True, 2.5):
+            with pytest.raises(ValueError, match="step count M must be a positive integer"):
+                TimeGrid(1.0, M)
+        with pytest.raises(ValueError, match=r"values of shape \(\)"):
+            GridSeries(TimeGrid(1.0, 4), 1.0)
 
     def test_rejects_complex_values(self):
         # regression: the cast to float dropped the imaginary part with only
@@ -506,6 +513,15 @@ class TestIntegrationByParts:
         h = series(1.0, 128, lambda t: t)
         with pytest.raises(ValueError):
             integration_by_parts_residual(f, h, 0.5)
+
+    def test_rejects_vector_series(self):
+        # regression: two vector series failed with a TypeError in float(),
+        # their trapezoids having run along the last axis instead of time
+        f = series(1.0, 64, lambda t: np.stack([t, t * t], axis=1))
+        h = series(1.0, 64, lambda t: t)
+        for a, b in ((f, f), (f, h), (h, f)):
+            with pytest.raises(ValueError, match="scalar series"):
+                integration_by_parts_residual(a, b, 0.5)
 
 
 class TestMaxNorm:

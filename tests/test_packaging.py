@@ -3,8 +3,10 @@ dependencies."""
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -28,13 +30,18 @@ def test_script_targets_import_and_are_callable():
         assert callable(obj), f"script {name} -> {target} is not callable"
 
 
-def source_modules():
-    """Every module of the package, imported by name, in path order."""
+def module_names():
+    """The dotted name of every module of the package, in path order."""
     for path in sorted(PACKAGE.rglob("*.py")):
         parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        yield importlib.import_module(".".join(parts))
+        yield ".".join(parts)
+
+
+def source_modules():
+    """Every module of the package, imported by name, in path order."""
+    return map(importlib.import_module, module_names())
 
 
 def test_every_source_module_imports():
@@ -43,6 +50,24 @@ def test_every_source_module_imports():
     package_dir = pathlib.Path(importlib.import_module("fracspec").__file__).parent
     for module in source_modules():
         assert pathlib.Path(module.__file__).is_relative_to(package_dir), module.__file__
+
+
+def test_imports_leave_mpmath_unloaded():
+    # mpmath is imported on the first Mittag-Leffler point that needs it
+    # (fraccalc._series_mp), never by importing the package or a module; a
+    # fresh interpreter imports each in turn, from where this run finds them
+    location = pathlib.Path(importlib.import_module("fracspec").__file__).parent.parent
+    path = os.pathsep.join(p for p in (str(location), os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "    if 'mpmath' in sys.modules:\n"
+        "        sys.exit('importing ' + name + ' loaded mpmath')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code, *module_names()], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_public_name_resolves():

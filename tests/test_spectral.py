@@ -89,6 +89,14 @@ class TestBuildBasis:
             DomainGeometry((math.nan,))
         with pytest.raises(ValueError):
             DomainGeometry((math.inf, 1.0))
+        # regressions: "12" was read as the two lengths (1.0, 2.0), True
+        # built a one-mode basis, and 2.5 failed inside range with a TypeError
+        for lengths in ("12", b"12", "1"):
+            with pytest.raises(ValueError, match="lengths must be"):
+                DomainGeometry(lengths)
+        for N in (True, 2.5):
+            with pytest.raises(ValueError, match="mode count N must be a positive integer"):
+                build_basis(DomainGeometry((1.0,)), N)
 
 
 class TestOrthonormality:
@@ -206,6 +214,14 @@ class TestAssemble:
         b = build_basis(DomainGeometry((1.0,)), 4)
         with pytest.raises(ExprDomainError, match="variable 'x' has no value here"):
             assemble(b, {"a11": parse("1")}, {1: parse("x")}, t=0.0)
+
+    @pytest.mark.parametrize("key", [0, -1, 1.5, True])
+    def test_rejects_forcing_keys_that_are_not_modes(self, key):
+        # regression: keys 0 and -1 were dropped, so the load read all zeros;
+        # 1.5 failed with numpy's IndexError, and True counted as mode 1
+        b = build_basis(DomainGeometry((1.0,)), 4)
+        with pytest.raises(ValueError, match=f"forcing mode {key!r} is not an integer"):
+            assemble(b, {"a11": parse("1")}, {key: parse("1")}, t=0.0)
 
     def test_ellipticity_abort(self):
         b = build_basis(DomainGeometry((1.0,)), 4)
