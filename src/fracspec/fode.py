@@ -603,8 +603,9 @@ def variation_of_constants(lam: float, f: GridSeries, alpha: float) -> GridSerie
     u = s^alpha E_{alpha,alpha+1}(-lam s^alpha) and u's antiderivative v =
     s^(alpha+1) E_{alpha,alpha+2}(-lam s^alpha).  Nothing is divided by lam,
     so the weights stay accurate as lam -> 0 and lam = 0 gives the I^alpha
-    weights.  Exact (up to the special-function tolerance) for constant f;
-    the oracle for both solvers.
+    weights; they are formed once per (lam, alpha, grid) and kept in
+    fraccalc._KERNELS.  Exact (up to the special-function tolerance) for
+    constant f; the oracle for both solvers.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

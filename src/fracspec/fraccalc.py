@@ -15,10 +15,11 @@ one routine applies them (_product_integral_values).  Each time kernel has
 one recipe, which fode calls too: I^alpha (_rl_integral_values), the
 Mittag-Leffler kernels (_ml_kernel_values) and the L1 pair (_l1_pair).
 
-All operations are pure functions of immutable inputs.  Kernels that depend
-only on the order and the grid (_pl_weights, _l1_pair) and their FFT
-spectra are formed once and kept, read-only, in one bounded LRU (_KERNELS),
-which threads share.
+All operations are pure functions of immutable inputs.  The grid kernels,
+fixed by the order and the grid (_pl_weights, _l1_pair) or by the
+Mittag-Leffler kernel's parameters and the grid (_ml_kernel_weights), and
+their FFT spectra are formed once and kept, read-only, in one bounded LRU
+(_KERNELS), which threads share.
 """
 
 from __future__ import annotations
@@ -108,6 +109,17 @@ def _is_count(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
+def _real(x) -> float:
+    """x as a float, or NaN if x is not a real number: a bool, str, bytes or
+    complex value is not one."""
+    if isinstance(x, (bool, np.bool_, str, bytes, bytearray)) or np.iscomplexobj(x):
+        return math.nan
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 # ---------------------------------------------------------------------------
 # grid types
 # ---------------------------------------------------------------------------
@@ -121,8 +133,10 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"horizon T must be a positive real, got {self.T}")
+        T = _real(self.T)
+        if not (T > 0.0 and math.isfinite(T)):
+            raise ValueError(f"horizon T must be a positive real, got {self.T!r}")
+        object.__setattr__(self, "T", T)
         if not _is_count(self.M):
             raise ValueError(f"step count M must be a positive integer, got {self.M}")
         nodes = np.linspace(0.0, self.T, self.M + 1)
@@ -589,11 +603,10 @@ def ml_array(alpha: float, z, beta: float = 1.0) -> np.ndarray:
 # passes by ~5e-20, which FFT rounding would flip.
 _DIRECT_ROWS = 2048
 
-# The kernels that depend only on the order and the grid (_pl_weights and
-# _l1_pair) and the spectra _causal_conv and _conv_tail form of them are
-# kept in one LRU, _KERNELS, of at most this many entries and this many bytes
-# of array data (16 MiB), whatever the grids; kernels a caller builds
-# (_antiderivative_weights) are transformed at every call
+# The grid kernels (_pl_weights, _l1_pair and the Mittag-Leffler kernels'
+# _ml_kernel_weights) and the spectra _causal_conv and _conv_tail form of
+# them are kept in one LRU, _KERNELS, of at most this many entries and this
+# many bytes of array data (16 MiB), whatever the grids
 _KERNEL_ENTRIES = 16
 _KERNEL_BYTES = 16 << 20
 
@@ -843,19 +856,31 @@ def _rl_integral_values(vals: np.ndarray, order: float, dt: float) -> np.ndarray
     return _product_integral_values(vals, _pl_weights(order, len(vals) - 1), dt**order / gamma(order + 2.0))
 
 
-def _ml_kernel_values(vals: np.ndarray, dt: float, alpha: float, beta: float, lam: float, scale: float):
-    """The kernel scale s^(beta-1) E_{alpha,beta}(-lam s^alpha) integrated
-    against the nodal values vals at every node, 0 at node 0, by the weights
-    (_antiderivative_weights) of its antiderivative u = s^beta
-    E_{alpha,beta+1}(-lam s^alpha) and u's, v = s^(beta+1)
-    E_{alpha,beta+2}(-lam s^alpha); for k_n (beta = 1, lam = scale = n) and
-    fode.variation_of_constants (beta = alpha, scale 1)."""
-    s = np.arange(vals.shape[0], dtype=float) * dt
+@_KERNELS.memoize
+def _ml_kernel_weights(alpha: float, beta: float, lam: float, M: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, W) of the kernel s^(beta-1) E_{alpha,beta}(-lam s^alpha) on the
+    grid of M steps of dt, by _antiderivative_weights from its antiderivative
+    u = s^beta E_{alpha,beta+1}(-lam s^alpha) and u's, v = s^(beta+1)
+    E_{alpha,beta+2}(-lam s^alpha).  Formed once per (alpha, beta, lam, M,
+    dt), all plain floats but M, and kept read-only in _KERNELS with the
+    spectra of W that _causal_conv forms."""
+    s = np.arange(M + 1, dtype=float) * dt
     sb = s**beta
     z = -lam * s**alpha
     u = sb * ml_array(alpha, z, beta + 1.0)
     v = s * sb * ml_array(alpha, z, beta + 2.0)
-    return _product_integral_values(vals, _antiderivative_weights(u, v, dt), scale)
+    return _antiderivative_weights(u, v, dt)
+
+
+def _ml_kernel_values(vals: np.ndarray, dt: float, alpha: float, beta: float, lam: float, scale: float):
+    """The kernel scale s^(beta-1) E_{alpha,beta}(-lam s^alpha) integrated
+    against the nodal values vals at every node, 0 at node 0, by the weights
+    _ml_kernel_weights; for k_n (beta = 1, lam = scale = n) and
+    fode.variation_of_constants (beta = alpha, scale 1).  The key is made of
+    floats, so an int and a float n, 0.0 and -0.0, or a 0-d array and its
+    float share one entry and its bits."""
+    weights = _ml_kernel_weights(float(alpha), float(beta), float(lam), vals.shape[0] - 1, float(dt))
+    return _product_integral_values(vals, weights, scale)
 
 
 def rl_integral(x: GridSeries, alpha: float) -> GridSeries:
@@ -949,7 +974,8 @@ class Kernel:
             raise ValueError(f"kernel kind must be 'k', 'l' or 'kn', got {self.kind!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"kernel alpha must lie in (0, 1), got {self.alpha}")
-        if self.kind == "kn" and not (1 <= self.n < math.inf):  # a NaN fails too
+        # a NaN fails too, and a bool is not an index
+        if self.kind == "kn" and (isinstance(self.n, (bool, np.bool_)) or not (1 <= self.n < math.inf)):
             raise ValueError(f"Yosida kernel index n must be a finite real >= 1, got {self.n}")
 
     @staticmethod
@@ -972,7 +998,8 @@ def convolve(f: GridSeries, g: Kernel) -> GridSeries:
     Kernels "k" and "l" are weakly singular powers, the I^(1-alpha) and
     I^alpha weights.  The Yosida kernel k_n = n E_alpha(-n s^alpha) takes its
     weights from its antiderivatives (_ml_kernel_values), so its layer of
-    width n^(-1/alpha) needs no refinement of the grid.
+    width n^(-1/alpha) needs no refinement of the grid.  Every kernel's
+    weights are formed once per grid (and alpha, n) and kept in _KERNELS.
     """
     if g.kind != "kn":
         return rl_integral(f, g.alpha if g.kind == "l" else 1.0 - g.alpha)

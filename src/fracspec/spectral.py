@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .exprfield import BinOp, ExprDomainError, Neg, Num, _compiled, evaluate, variables_of
-from .fraccalc import _EPS, _is_count, _max_norm
+from .fraccalc import _EPS, _is_count, _max_norm, _real
 
 __all__ = [
     "DomainGeometry",
@@ -74,8 +74,9 @@ class DomainGeometry:
     lengths: tuple
 
     def __post_init__(self):
-        # a str or bytes would be read as one length a character
-        ls = () if isinstance(self.lengths, (str, bytes)) else tuple(float(L) for L in self.lengths)
+        # a str or bytes would be read as one length a character, and an
+        # element that is not a real number (_real: "1", b"2", True) is NaN
+        ls = () if isinstance(self.lengths, (str, bytes)) else tuple(map(_real, self.lengths))
         if not (1 <= len(ls) <= 2) or not all(0.0 < L < math.inf for L in ls):
             raise ValueError(f"lengths must be one or two positive finite reals, got {self.lengths}")
         object.__setattr__(self, "lengths", ls)
@@ -564,10 +565,7 @@ def _node_plan(basis: SpectralBasis, coeffs: tuple, forcing: tuple) -> tuple:
     """What assemble needs at every node, one lookup a node: the plan of
     (basis, coeffs), the compiled function of the in-range forcing
     expressions and the plan's t-factors, and the load positions of those
-    forcing modes."""
-    for j, _ in forcing:
-        if not _is_count(j):
-            raise ValueError(f"forcing mode {j!r} is not an integer >= 1")
+    forcing modes.  assemble has checked the forcing keys."""
     plan = _plan(basis, coeffs)
     live = [(j, e) for j, e in forcing if j <= basis.N]
     values = _compiled(tuple(e for _, e in live) + plan.factors)
@@ -608,6 +606,11 @@ def assemble(basis, coeffs, forcing, t) -> AssembledForm:
     (_Plan._clears_zero).  Either way a node passes or raises
     EllipticityError as the grid check alone would, and A is the same.
     """
+    # at every call, before the lookup: True and 1.0 equal the key 1, so they
+    # would find its plan; a plain int takes the fast test
+    for j in forcing:
+        if not ((type(j) is int and j >= 1) or _is_count(j)):
+            raise ValueError(f"forcing mode {j!r} is not an integer >= 1")
     plan, values_at, positions = _node_plan(basis, tuple(coeffs.items()), tuple(forcing.items()))
     values = values_at(t, None, None)
     load = np.zeros(basis.N)

@@ -32,6 +32,7 @@ from fracspec.fraccalc import (
     _conv_tail,
     _fft_rows,
     _max_norm,
+    _ml_kernel_weights,
     _pl_weights,
     ml_array,
 )
@@ -65,6 +66,20 @@ class TestTimeGrid:
                 TimeGrid(1.0, M)
         with pytest.raises(ValueError, match=r"values of shape \(\)"):
             GridSeries(TimeGrid(1.0, 4), 1.0)
+
+    @pytest.mark.parametrize("T", ["2", b"2", True, 1 + 0j, None])
+    def test_rejects_a_horizon_that_is_not_real(self, T):
+        # regression: "2" failed with a TypeError from the comparison, and
+        # True was taken as T = 1
+        with pytest.raises(ValueError, match="horizon T must be a positive real"):
+            TimeGrid(T, 4)
+
+    def test_horizon_stored_as_float(self):
+        # regression: TimeGrid(1, 2).T stayed the int 1; dt keeps its bits
+        for T in (1, np.float64(1.0), np.array(1.0)):
+            g = TimeGrid(T, 3)
+            assert type(g.T) is float and g.T == 1.0
+            assert g.dt.hex() == (1.0 / 3).hex()
 
     def test_rejects_complex_values(self):
         # regression: the cast to float dropped the imaginary part with only
@@ -446,6 +461,17 @@ class TestConvolve:
         for n in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="index n"):
                 Kernel.kn(0.5, n)
+        # regression: True was taken as n = 1, and convolve gave k_1
+        for n in (True, np.True_):
+            with pytest.raises(ValueError, match="index n must be a finite real >= 1, got True"):
+                Kernel.kn(0.5, n)
+
+    def test_kernel_index_as_a_0d_array(self):
+        # a 0-d array n is its float: same cache entry, same bits
+        g = TimeGrid(1.0, 64)
+        f = GridSeries(g, np.sin(g.nodes))
+        want = convolve(f, Kernel.kn(0.5, 20.0)).values
+        assert convolve(f, Kernel.kn(0.5, np.array(20.0))).values.tobytes() == want.tobytes()
 
 
 class TestIntegrationByParts:
@@ -559,17 +585,19 @@ class TestMaxNorm:
 def clear_kernels():
     _pl_weights.cache_clear()
     fode._l1_pair.cache_clear()
+    _ml_kernel_weights.cache_clear()
 
 
 class TestKernelCache:
-    # _pl_weights and fode._l1_pair keep their kernels, and the FFT spectra
-    # formed of them, in one LRU (_KERNELS) bounded by entries and by bytes;
-    # cached or not, every result has the same bits
+    # _pl_weights, fode._l1_pair and _ml_kernel_weights keep their kernels,
+    # and the FFT spectra formed of them, in one LRU (_KERNELS) bounded by
+    # entries and by bytes; cached or not, every result has the same bits
 
     @staticmethod
     def outputs(M):
-        """I^alpha (by FFT above _DIRECT_ROWS), the IBP residual and both
-        solvers (history tails by FFT) on a grid of M steps, as arrays."""
+        """I^alpha (by FFT above _DIRECT_ROWS), the IBP residual, both
+        solvers (history tails by FFT), variation_of_constants and k_n (by
+        FFT above _DIRECT_ROWS) on a grid of M steps, as arrays."""
         g = TimeGrid(1.0, M)
         t = g.nodes
         x = GridSeries(g, np.column_stack([np.sin(3.0 * t), t**1.5]))
@@ -580,30 +608,109 @@ class TestKernelCache:
             np.array(integration_by_parts_residual(f, h, 0.4)),
             picard_solve(ivp)[0].values,
             l1_solve(ivp).values,
+            fode.variation_of_constants(2.0, f, 0.4).values,
+            convolve(x, Kernel.kn(0.4, 50)).values,
         ]
 
     def test_cold_warm_and_uncached_agree(self, monkeypatch):
         M = 3000
+        assert M > _DIRECT_ROWS
         clear_kernels()
         cold = self.outputs(M)
         a0, W = _pl_weights(0.4, M)
+        kn = _ml_kernel_weights(0.4, 1.0, 50.0, M, 1.0 / M)
         warm = self.outputs(M)
         assert _pl_weights(0.4, M)[1] is W  # served from the cache
-        assert len(_KERNELS._table[(_pl_weights.__wrapped__, (0.4, M))][1]) >= 1  # with a spectrum
+        assert _ml_kernel_weights(0.4, 1.0, 50.0, M, 1.0 / M)[1] is kn[1]
+        for fn, args in ((_pl_weights, (0.4, M)), (_ml_kernel_weights, (0.4, 1.0, 50.0, M, 1.0 / M))):
+            assert len(_KERNELS._table[(fn.__wrapped__, args)][1]) >= 1  # with a spectrum
         uncached_pl = _pl_weights.__wrapped__
         assert all(a.tobytes() == b.tobytes() for a, b in zip(uncached_pl(0.4, M), (a0, W)))
+        uncached_ml = _ml_kernel_weights.__wrapped__
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(uncached_ml(0.4, 1.0, 50.0, M, 1.0 / M), kn))
         monkeypatch.setattr(fraccalc, "_pl_weights", uncached_pl)
         monkeypatch.setattr(fode, "_pl_weights", uncached_pl)
         monkeypatch.setattr(fode, "_l1_pair", fode._l1_pair.__wrapped__)
+        monkeypatch.setattr(fraccalc, "_ml_kernel_weights", uncached_ml)
         uncached = self.outputs(M)
         for c, w, u in zip(cold, warm, uncached):
             assert c.tobytes() == w.tobytes() == u.tobytes()
 
+    def test_clear_drops_the_mittag_leffler_kernels(self):
+        clear_kernels()
+        g = TimeGrid(1.0, 64)
+        f = GridSeries(g, np.cos(g.nodes))
+        fode.variation_of_constants(3.0, f, 0.5)
+        convolve(f, Kernel.kn(0.5, 10))
+        held = [key for key in _KERNELS._table if key[0] is _ml_kernel_weights.__wrapped__]
+        assert len(held) == 2
+        clear_kernels()
+        assert not _KERNELS._table
+
+    def test_repeated_sweep_skips_ml_array(self, monkeypatch):
+        # the second identical sweep of variation_of_constants and k_n finds
+        # every weight in the cache: no Mittag-Leffler evaluation at all
+        g = TimeGrid(1.0, 256)
+        f = GridSeries(g, 1.0 + g.nodes)
+
+        def sweep():
+            out = [fode.variation_of_constants(lam, f, 0.6).values for lam in (0.0, 1.0, 40.0)]
+            return out + [convolve(f, Kernel.kn(0.6, n)).values for n in (10, 1000)]
+
+        calls = []
+        ml = fraccalc.ml_array
+        monkeypatch.setattr(fraccalc, "ml_array", lambda *a: calls.append(a) or ml(*a))
+        clear_kernels()
+        first = sweep()
+        assert len(calls) == 10  # two a kernel
+        calls.clear()
+        second = sweep()
+        assert calls == []
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize(
+        "name, a, b",
+        [
+            ("n", 7, 7.0),
+            ("lam", 0.0, -0.0),
+            ("lam", 2.5, np.float64(2.5)),
+            ("lam", 2.5, np.array(2.5)),
+            ("alpha", 0.45, np.float64(0.45)),
+            ("alpha", 0.45, np.array(0.45)),
+        ],
+        ids=["int-n", "signed-zero-lam", "float64-lam", "0d-lam", "float64-alpha", "0d-alpha"],
+    )
+    def test_key_equal_inputs_share_the_uncached_bits(self, name, a, b, reverse, monkeypatch):
+        # inputs whose floats are equal share one cache entry, whichever
+        # comes first, and every one of them gets the bits of the uncached
+        # weights of the plain float
+        g = TimeGrid(1.0, 200)
+        f = GridSeries(g, np.exp(-g.nodes))
+        args = {"n": 7.0, "lam": 2.5, "alpha": 0.45}
+
+        def run(value):
+            kw = dict(args, **{name: value})
+            if name == "n":
+                return convolve(f, Kernel.kn(kw["alpha"], kw["n"])).values
+            return fode.variation_of_constants(kw["lam"], f, kw["alpha"]).values
+
+        with monkeypatch.context() as m:
+            m.setattr(fraccalc, "_ml_kernel_weights", _ml_kernel_weights.__wrapped__)
+            ref = run(float(a))
+        clear_kernels()
+        outs = [run(v) for v in ((b, a) if reverse else (a, b))]
+        assert len(_KERNELS._table) == 1
+        for out in outs:
+            assert out.tobytes() == ref.tobytes()
+
     def test_cached_arrays_are_read_only(self):
         a0, W = _pl_weights(0.3, 100)
         _, kernel = fode._l1_pair(0.3, 100, 0.01)
+        b0, V = _ml_kernel_weights(0.3, 0.3, 2.0, 100, 0.01)
         spectrum = _KERNELS.spectrum(W, 100, 256)
-        for array in (a0, W, kernel, spectrum):
+        for array in (a0, W, kernel, b0, V, spectrum):
             with pytest.raises(ValueError):
                 array[1] = 0.0
 

@@ -94,6 +94,10 @@ class TestBuildBasis:
         for lengths in ("12", b"12", "1"):
             with pytest.raises(ValueError, match="lengths must be"):
                 DomainGeometry(lengths)
+        # regression: ("1", b"2") was read as the lengths (1.0, 2.0)
+        for lengths in (("1", b"2"), ("1",), (1.0, b"2")):
+            with pytest.raises(ValueError, match="lengths must be"):
+                DomainGeometry(lengths)
         for N in (True, 2.5):
             with pytest.raises(ValueError, match="mode count N must be a positive integer"):
                 build_basis(DomainGeometry((1.0,)), N)
@@ -222,6 +226,17 @@ class TestAssemble:
         b = build_basis(DomainGeometry((1.0,)), 4)
         with pytest.raises(ValueError, match=f"forcing mode {key!r} is not an integer"):
             assemble(b, {"a11": parse("1")}, {key: parse("1")}, t=0.0)
+
+    def test_forcing_keys_checked_whatever_was_cached(self):
+        # regression: the key check ran only when _node_plan's LRU missed,
+        # and True and 1.0 equal the key 1, so after a {1: ...} call they
+        # returned its mode-1 load
+        b = build_basis(DomainGeometry((1.0,)), 4)
+        coeffs = {"a11": parse("1")}
+        assert assemble(b, coeffs, {1: parse("1")}, t=0.0).load.tolist() == [1.0, 0.0, 0.0, 0.0]
+        for key in (True, 1.0):
+            with pytest.raises(ValueError, match=f"forcing mode {key!r} is not an integer"):
+                assemble(b, coeffs, {key: parse("1")}, t=0.0)
 
     def test_ellipticity_abort(self):
         b = build_basis(DomainGeometry((1.0,)), 4)
